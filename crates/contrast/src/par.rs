@@ -11,10 +11,8 @@
 //! count, because lubs and extensions are pure in the instance (the
 //! pool only affects interning).
 //!
-//! Small batches skip the freeze entirely: below
-//! [`PAR_THRESHOLD_ENV`] questions (default
-//! [`DEFAULT_PAR_THRESHOLD`]), or on a single-thread executor, the
-//! sequential path runs unchanged.
+//! Batches that cannot gain skip the freeze entirely: a single question,
+//! or a single-thread executor, runs the sequential path unchanged.
 
 use std::sync::Arc;
 use whynot_concepts::LubEngine;
@@ -23,22 +21,6 @@ use whynot_core::{
     SessionError,
 };
 use whynot_relation::{Instance, Schema};
-
-/// Env knob: minimum batch size before the parallel fan-out engages.
-pub const PAR_THRESHOLD_ENV: &str = "WHYNOT_CONTRAST_PAR_THRESHOLD";
-
-/// Default for [`PAR_THRESHOLD_ENV`]: batches of two already amortize
-/// the freeze.
-pub const DEFAULT_PAR_THRESHOLD: usize = 2;
-
-/// The parallel threshold: [`PAR_THRESHOLD_ENV`] when set to a valid
-/// `usize`, [`DEFAULT_PAR_THRESHOLD`] otherwise.
-pub fn par_threshold() -> usize {
-    std::env::var(PAR_THRESHOLD_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_PAR_THRESHOLD)
-}
 
 /// [`contrast_batch_with`] on the ambient executor (the
 /// `WHYNOT_THREADS` knob).
@@ -61,7 +43,8 @@ pub fn contrast_batch_with(
     questions: &[ContrastQuestion],
     kind: LubKind,
 ) -> Vec<Result<ContrastAnswer, SessionError>> {
-    if exec.threads() <= 1 || questions.len() < par_threshold() {
+    // Two questions already amortize the freeze.
+    if exec.threads() <= 1 || questions.len() < 2 {
         return questions
             .iter()
             .map(|q| contrast_instance(schema, inst, q, kind))

@@ -15,16 +15,8 @@ use crate::ontology::FiniteOntology;
 use crate::whynot::{
     exts_form_explanation_q, less_general, Explanation, QuestionRef, WhyNotInstance,
 };
-use std::sync::Arc;
 use whynot_concepts::{kernels, Extension, ExtensionTable, Probe};
-use whynot_parallel::Executor;
 use whynot_relation::{ScratchArena, Tuple, Value};
-
-/// Below this many membership probes (candidates × answers) at a
-/// position, the conflict bits are computed inline: the executor spawns
-/// fresh scoped threads per call, whose spawn/join cost (tens of µs)
-/// only amortizes over a probe loop at least that large.
-const PAR_PROBE_THRESHOLD: usize = 1 << 15;
 
 /// Per-position candidate concepts with precomputed answer-conflict
 /// bitsets, ordered ascending by conflict popcount (most selective
@@ -40,8 +32,7 @@ pub(crate) struct Candidates<C> {
 /// Returns a question's conflict buffers to the arena once the search is
 /// done — the next question on the same context re-takes them instead of
 /// allocating.
-pub(crate) fn recycle_candidates<C>(arena: Option<&ScratchArena>, candidates: Vec<Candidates<C>>) {
-    let Some(arena) = arena else { return };
+pub(crate) fn recycle_candidates<C>(arena: &ScratchArena, candidates: Vec<Candidates<C>>) {
     for c in candidates {
         for bits in c.conflicts {
             arena.recycle(bits);
@@ -56,71 +47,48 @@ pub(crate) fn candidate_indices(table: &ExtensionTable, count: usize, a: &Value)
     (0..count).filter(|&k| table.get(k).contains(a)).collect()
 }
 
-/// Builds the per-position candidate sets from a prebuilt extension table
-/// and a per-constant candidate-index provider: the per-answer conflict
-/// bits come from pre-interned probes — one binary search per
-/// (position, answer), then O(1) bit tests per candidate. The provider is
-/// a closure so the one-shot path can scan the table while a
-/// [`WhyNotSession`](crate::WhyNotSession) serves memoized index lists.
-pub(crate) fn build_candidates_with<C: Clone>(
-    all: &[C],
-    table: &ExtensionTable,
-    indices_for: impl FnMut(&Value) -> Arc<Vec<usize>>,
-    q: QuestionRef<'_>,
-    arena: Option<&ScratchArena>,
-) -> Option<Vec<Candidates<C>>> {
-    build_candidates_exec(all, table, indices_for, q, None, arena)
-}
-
-/// [`build_candidates_with`] with an optional executor: the per-candidate
-/// conflict-bit loops — the `O(candidates × answers)` inner product that
-/// dominates Algorithm 1's setup on large instances — are sharded across
-/// the executor's workers. The candidate index lists and probes are
-/// resolved sequentially first (they may touch session caches), so the
-/// fan-out reads only the shared [`ExtensionTable`]; results land by
-/// candidate index, making the output identical to the sequential build.
-pub(crate) fn build_candidates_exec<C: Clone>(
-    all: &[C],
-    table: &ExtensionTable,
-    mut indices_for: impl FnMut(&Value) -> Arc<Vec<usize>>,
-    q: QuestionRef<'_>,
-    exec: Option<&Executor>,
-    arena: Option<&ScratchArena>,
-) -> Option<Vec<Candidates<C>>> {
+/// Builds the per-position candidate sets through the memoizing context:
+/// every concept's extension is evaluated exactly once for the whole
+/// search (the seed re-evaluated per position), all extensions share the
+/// context pool. The per-answer conflict bits come from pre-interned
+/// probes — one binary search per (position, answer), then O(1) bit
+/// tests per candidate.
+fn build_candidates<O: FiniteOntology>(
+    ctx: &EvalContext<'_, O>,
+    wn: &WhyNotInstance,
+) -> Option<Vec<Candidates<O::Concept>>> {
+    let all = ctx.concepts();
+    let table = ctx.table(&all);
+    let arena = ctx.scratch();
+    let q = wn.question();
     let ans: Vec<&Tuple> = q.ans.iter().collect();
     let words = ans.len().div_ceil(64);
     let mut out = Vec::with_capacity(q.arity());
     for (i, a_i) in q.tuple.iter().enumerate() {
-        let idxs = indices_for(a_i);
+        let idxs = candidate_indices(&table, all.len(), a_i);
         if idxs.is_empty() {
             recycle_candidates(arena, out);
             return None; // no concept covers a_i: no explanation exists
         }
         // Intern this position's answer values once.
         let probes: Vec<Probe> = ans.iter().map(|t| table.probe(&t[i])).collect();
-        let mut conflicts: Vec<Vec<u64>> = match exec {
-            Some(e)
-                if e.threads() > 1
-                    && idxs.len() > 1
-                    && idxs.len().saturating_mul(ans.len()) >= PAR_PROBE_THRESHOLD =>
-            {
-                // Workers allocate their own buffers; the arena is
-                // single-threaded by design.
-                e.par_map_index(idxs.len(), |ki| {
-                    conflict_bits(table, idxs[ki], i, &ans, &probes, words, None)
-                })
-            }
-            _ => idxs
-                .iter()
-                .map(|&k| conflict_bits(table, k, i, &ans, &probes, words, arena))
-                .collect(),
-        };
+        let mut conflicts: Vec<Vec<u64>> = idxs
+            .iter()
+            .map(|&k| {
+                let mut bits = arena.take(words);
+                for (j, (t, probe)) in ans.iter().zip(&probes).enumerate() {
+                    if table.entry_contains(k, probe, &t[i]) {
+                        bits[j / 64] |= 1 << (j % 64);
+                    }
+                }
+                bits
+            })
+            .collect();
         // Selectivity ordering: visit the most-selective candidates
         // (fewest surviving answers) first, so the product walk's running
         // masks go empty as early as possible. Stable (ties keep table
-        // order); sound because every consumer of the candidate lists —
-        // sequential, sharded, and session paths alike — shares this
-        // build, and `retain_most_general` sorts the final output.
+        // order); the session's cached build sorts by the same key, and
+        // `retain_most_general` sorts the final output.
         let mut order: Vec<usize> = (0..idxs.len()).collect();
         order.sort_by_key(|&ki| (kernels::count_ones(&conflicts[ki]), ki));
         let concepts = order.iter().map(|&ki| all[idxs[ki]].clone()).collect();
@@ -136,60 +104,6 @@ pub(crate) fn build_candidates_exec<C: Clone>(
     Some(out)
 }
 
-/// One candidate's answer-conflict bitset at one position: bit `j` set
-/// iff answer tuple `j`'s value there lies in the candidate's extension.
-/// Shared verbatim by the sequential and parallel builds.
-fn conflict_bits(
-    table: &ExtensionTable,
-    k: usize,
-    position: usize,
-    ans: &[&Tuple],
-    probes: &[Probe],
-    words: usize,
-    arena: Option<&ScratchArena>,
-) -> Vec<u64> {
-    let mut bits = match arena {
-        Some(a) => a.take(words),
-        None => vec![0u64; words],
-    };
-    for (j, (t, probe)) in ans.iter().zip(probes).enumerate() {
-        if table.entry_contains(k, probe, &t[position]) {
-            bits[j / 64] |= 1 << (j % 64);
-        }
-    }
-    bits
-}
-
-/// Builds the per-position candidate sets through the memoizing context:
-/// every concept's extension is evaluated exactly once for the whole
-/// search (the seed re-evaluated per position), all extensions share the
-/// context pool.
-fn build_candidates<O: FiniteOntology>(
-    ctx: &EvalContext<'_, O>,
-    wn: &WhyNotInstance,
-) -> Option<Vec<Candidates<O::Concept>>> {
-    build_candidates_ctx(ctx, wn, None)
-}
-
-/// [`build_candidates`] with an optional executor for the conflict-bit
-/// shard.
-fn build_candidates_ctx<O: FiniteOntology>(
-    ctx: &EvalContext<'_, O>,
-    wn: &WhyNotInstance,
-    exec: Option<&Executor>,
-) -> Option<Vec<Candidates<O::Concept>>> {
-    let all = ctx.concepts();
-    let table = ctx.table(&all);
-    build_candidates_exec(
-        &all,
-        &table,
-        |a| Arc::new(candidate_indices(&table, all.len(), a)),
-        wn.question(),
-        exec,
-        Some(ctx.scratch()),
-    )
-}
-
 /// Algorithm 1: computes the set of all most-general explanations for the
 /// why-not instance w.r.t. a finite ontology (modulo equivalence, as in
 /// Theorem 5.2(1)).
@@ -201,30 +115,8 @@ pub fn exhaustive_search<O: FiniteOntology>(
     let Some(candidates) = build_candidates(&ctx, wn) else {
         return Vec::new();
     };
-    let found = run_exhaustive(&candidates, wn.question(), Some(ctx.scratch()));
+    let found = run_exhaustive(&candidates, wn.question(), ctx.scratch());
     // Lines 3–5: drop explanations strictly less general than another.
-    retain_most_general(ontology, found)
-}
-
-/// Algorithm 1 with its embarrassingly parallel halves sharded across the
-/// executor's workers: the per-position candidate/conflict-bit
-/// construction and the first level of the product search both fan out,
-/// and results land by input index — the output (explanations *and* their
-/// order) is identical to [`exhaustive_search`] at every thread count.
-pub fn exhaustive_search_parallel<O>(
-    ontology: &O,
-    wn: &WhyNotInstance,
-    exec: &Executor,
-) -> Vec<Explanation<O::Concept>>
-where
-    O: FiniteOntology + Sync,
-    O::Concept: Send + Sync,
-{
-    let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
-    let Some(candidates) = build_candidates_ctx(&ctx, wn, Some(exec)) else {
-        return Vec::new();
-    };
-    let found = run_exhaustive_exec(&candidates, wn.question(), Some(exec), Some(ctx.scratch()));
     retain_most_general(ontology, found)
 }
 
@@ -235,7 +127,7 @@ where
 pub(crate) fn run_exhaustive<C: Clone>(
     candidates: &[Candidates<C>],
     q: QuestionRef<'_>,
-    arena: Option<&ScratchArena>,
+    arena: &ScratchArena,
 ) -> Vec<Explanation<C>> {
     if q.arity() == 0 {
         return Vec::new();
@@ -245,15 +137,9 @@ pub(crate) fn run_exhaustive<C: Clone>(
     let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
     // One preallocated mask frame per depth — the walk itself never
     // touches the allocator (cf. the old per-node `Vec` AND).
-    let mut root = match arena {
-        Some(a) => a.take(words),
-        None => vec![0u64; words],
-    };
+    let mut root = arena.take(words);
     root.fill(u64::MAX);
-    let mut frames = match arena {
-        Some(a) => a.take(words * candidates.len()),
-        None => vec![0u64; words * candidates.len()],
-    };
+    let mut frames = arena.take(words * candidates.len());
     collect(
         candidates,
         &mut choice,
@@ -262,60 +148,9 @@ pub(crate) fn run_exhaustive<C: Clone>(
         words,
         &mut found,
     );
-    if let Some(a) = arena {
-        a.recycle(root);
-        a.recycle(frames);
-    }
+    arena.recycle(root);
+    arena.recycle(frames);
     found
-}
-
-/// [`run_exhaustive`] with the first position's candidates fanned out
-/// across workers: each worker owns the whole subtree under one
-/// first-position choice, and subtree results are concatenated in
-/// first-choice order — exactly the DFS emission order of the sequential
-/// collect.
-pub(crate) fn run_exhaustive_exec<C: Clone + Send + Sync>(
-    candidates: &[Candidates<C>],
-    q: QuestionRef<'_>,
-    exec: Option<&Executor>,
-    arena: Option<&ScratchArena>,
-) -> Vec<Explanation<C>> {
-    let fanout = candidates.first().map_or(0, |c| c.concepts.len());
-    // Same spawn/join amortization bar as the conflict-bit shard: the
-    // (unpruned) product size times the per-node mask width estimates
-    // the search's work; below the bar the sequential DFS wins.
-    let words = q.ans.len().div_ceil(64);
-    let product = candidates
-        .iter()
-        .fold(1usize, |acc, c| acc.saturating_mul(c.concepts.len()));
-    let Some(exec) = exec.filter(|e| {
-        e.threads() > 1 && fanout > 1 && product.saturating_mul(words) >= PAR_PROBE_THRESHOLD
-    }) else {
-        return run_exhaustive(candidates, q, arena);
-    };
-    let subtrees = exec.par_map_index(fanout, |k| {
-        // The sequential root mask is all-ones, so the first AND is just
-        // the candidate's own conflict bits. Each worker owns its whole
-        // subtree and its own (thread-local) frame stack.
-        let masked = candidates[0].conflicts[k].clone();
-        let mut found = Vec::new();
-        let mut choice = vec![k];
-        if kernels::is_zero(&masked) {
-            emit_all(candidates, &mut choice, &mut found);
-        } else {
-            let mut frames = vec![0u64; words * candidates.len().saturating_sub(1)];
-            collect(
-                candidates,
-                &mut choice,
-                &masked,
-                &mut frames,
-                words,
-                &mut found,
-            );
-        }
-        found
-    });
-    subtrees.into_iter().flatten().collect()
 }
 
 fn collect<C: Clone>(
@@ -412,36 +247,27 @@ pub fn find_explanation<O: FiniteOntology>(
 ) -> Option<Explanation<O::Concept>> {
     let ctx = EvalContext::with_seeds(ontology, &wn.instance, wn.tuple.iter().cloned());
     let candidates = build_candidates(&ctx, wn)?;
-    run_find_one(&candidates, wn.question(), Some(ctx.scratch()))
+    run_find_one(&candidates, wn.question(), ctx.scratch())
 }
 
 /// The backtracking existence search over prebuilt candidates.
 pub(crate) fn run_find_one<C: Clone>(
     candidates: &[Candidates<C>],
     q: QuestionRef<'_>,
-    arena: Option<&ScratchArena>,
+    arena: &ScratchArena,
 ) -> Option<Explanation<C>> {
     if q.arity() == 0 {
         return None;
     }
     let words = q.ans.len().div_ceil(64);
     let mut choice: Vec<usize> = Vec::with_capacity(q.arity());
-    let mut root = match arena {
-        Some(a) => a.take(words),
-        None => vec![0u64; words],
-    };
+    let mut root = arena.take(words);
     root.fill(u64::MAX);
     // Per-depth mask frames plus one shared pair of pruning buffers
     // (`must_cover` / `excludable` are dead once a node recurses, so one
     // pair serves the whole search).
-    let mut frames = match arena {
-        Some(a) => a.take(words * candidates.len()),
-        None => vec![0u64; words * candidates.len()],
-    };
-    let mut prune = match arena {
-        Some(a) => a.take(words * 2),
-        None => vec![0u64; words * 2],
-    };
+    let mut frames = arena.take(words * candidates.len());
+    let mut prune = arena.take(words * 2);
     let hit = search_one(
         candidates,
         &mut choice,
@@ -450,11 +276,9 @@ pub(crate) fn run_find_one<C: Clone>(
         &mut prune,
         words,
     );
-    if let Some(a) = arena {
-        a.recycle(root);
-        a.recycle(frames);
-        a.recycle(prune);
-    }
+    arena.recycle(root);
+    arena.recycle(frames);
+    arena.recycle(prune);
     if hit {
         Some(Explanation::new(
             choice
@@ -755,34 +579,6 @@ mod tests {
         ));
         let wn = WhyNotInstance::new(schema, inst, q, vec![s("b")]).unwrap();
         assert!(!explanation_exists(&o, &wn));
-    }
-
-    #[test]
-    fn parallel_exhaustive_is_bit_for_bit_sequential() {
-        let o = figure_3();
-        let wn = example_3_4();
-        let sequential = exhaustive_search(&o, &wn);
-        for threads in [1, 2, 4, 8] {
-            let exec = Executor::with_threads(threads);
-            assert_eq!(
-                exhaustive_search_parallel(&o, &wn, &exec),
-                sequential,
-                "diverged at {threads} threads"
-            );
-        }
-        // The no-explanation edges hold under the executor too.
-        let mut b = SchemaBuilder::new();
-        let tc = b.relation("TC", ["from", "to"]);
-        let schema = b.finish().unwrap();
-        let mut inst = Instance::new();
-        inst.insert(tc, vec![s("Amsterdam"), s("Berlin")]);
-        let q = Ucq::single(Cq::new(
-            [Term::Var(Var(0)), Term::Var(Var(1))],
-            [Atom::new(tc, [Term::Var(Var(0)), Term::Var(Var(1))])],
-            [],
-        ));
-        let ghost = WhyNotInstance::new(schema, inst, q, vec![s("Gotham"), s("Berlin")]).unwrap();
-        assert!(exhaustive_search_parallel(&o, &ghost, &Executor::with_threads(4)).is_empty());
     }
 
     #[test]

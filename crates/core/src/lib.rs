@@ -43,16 +43,17 @@
 //!   [`WhyNotQuestion`]s, sharing the extension cache, answer sets,
 //!   candidate lists and lub results across the whole batch (see the
 //!   [`session`] module docs for the cache inventory);
-//! * **parallel search shards** over the scoped-thread [`Executor`]
-//!   (re-exported from `whynot-parallel`): [`exhaustive_search_parallel`]
-//!   fans Algorithm 1's candidate/conflict-bit construction and its
-//!   first product level out across workers,
+//! * **lub-driven fan-outs** over the scoped-thread [`Executor`]
+//!   (re-exported from `whynot-parallel`):
 //!   [`enumerate_mges_instance_parallel`] runs the MGE enumeration's
 //!   permuted reruns concurrently over one frozen lub-column view, and
-//!   [`WhyNotSession::answer_batch`] /
-//!   [`WhyNotSession::incremental_batch`] answer whole question slices
+//!   [`WhyNotSession::incremental_batch`] /
+//!   [`WhyNotSession::contrast_batch`] answer whole question slices
 //!   concurrently — all bit-for-bit equal to their sequential
 //!   counterparts at every thread count (the `WHYNOT_THREADS` knob).
+//!   Algorithm 1 has one path, the session's conflict-cached search:
+//!   [`WhyNotSession::answer_batch`] runs it question by question on the
+//!   calling thread, because the cache beats a fan-out.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -89,8 +90,7 @@ pub use enumerate::{
     enumerate_mges_instance, enumerate_mges_instance_parallel, incremental_search_balanced,
 };
 pub use exhaustive::{
-    check_mge, exhaustive_search, exhaustive_search_parallel, explanation_exists, find_explanation,
-    retain_most_general,
+    check_mge, exhaustive_search, explanation_exists, find_explanation, retain_most_general,
 };
 pub use explicit::{ConceptName, ExplicitOntology, ExplicitOntologyBuilder};
 pub use incremental::{

@@ -230,6 +230,15 @@ impl BoundContrast {
     }
 }
 
+/// One question of a lub-driven batch after the sequential bind phase
+/// (see [`WhyNotSession::lub_fan_out`]).
+enum Prepared<B, T> {
+    /// Already resolved sequentially: a cache hit or a binding error.
+    Done(Result<T, SessionError>),
+    /// Bound and waiting for the fan-out.
+    Run(B),
+}
+
 /// Usage counters of a session (see [`WhyNotSession::stats`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SessionStats {
@@ -602,9 +611,9 @@ pub struct WhyNotSession<'a, O: Ontology> {
     deltas: Cell<usize>,
     delta_invalidated: Cell<usize>,
     delta_retained: Cell<usize>,
-    /// The executor parallel batches (and the exhaustive conflict-bit
-    /// shard) run on; `None` means each batch call builds a default one
-    /// from `WHYNOT_THREADS` / the machine parallelism.
+    /// The executor the lub-driven batches fan out on; `None` means each
+    /// batch call builds a default one from `WHYNOT_THREADS` / the
+    /// machine parallelism.
     executor: Option<Executor>,
     batches: Cell<usize>,
     batch_questions: Cell<usize>,
@@ -690,12 +699,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         }
     }
 
-    /// Pins an executor for this session's parallel paths: every
-    /// [`answer_batch`](WhyNotSession::answer_batch) /
-    /// [`incremental_batch`](WhyNotSession::incremental_batch) call uses
-    /// it instead of building one from `WHYNOT_THREADS`, and single-
-    /// question exhaustive searches shard their conflict-bit construction
-    /// across its workers.
+    /// Pins an executor for this session's lub-driven batches: every
+    /// [`incremental_batch`](WhyNotSession::incremental_batch) /
+    /// [`contrast_batch`](WhyNotSession::contrast_batch) call fans out on
+    /// it instead of building one from `WHYNOT_THREADS`. Algorithm 1
+    /// (single questions and [`answer_batch`](WhyNotSession::answer_batch)
+    /// alike) always runs on the calling thread.
     pub fn set_executor(&mut self, exec: Executor) {
         self.executor = Some(exec);
     }
@@ -1517,20 +1526,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
     /// [`incremental`](WhyNotSession::incremental) over a whole question
     /// slice, fanned out across the session executor's workers
-    /// (freeze-then-fan-out):
-    ///
-    /// 1. **Bind** (sequential): every question is validated and its
-    ///    answer set resolved through the shared query cache.
-    /// 2. **Freeze** (sequential): the pooled [`LubEngine`] is forced and
-    ///    frozen into a read-only column view — all `(rel, attr)` column
-    ///    interning happens here, at most once per session, whatever the
-    ///    thread count.
-    /// 3. **Fan out**: each worker runs Algorithm 2's growth loop against
-    ///    the frozen view with worker-local lub/extension memos; results
-    ///    land by question index.
-    /// 4. **Merge** (sequential): the worker-local memos fold back into
-    ///    the session's lub and `LS`-extension caches, so later
-    ///    sequential questions still hit warm caches.
+    /// (freeze-then-fan-out): every question is bound sequentially, the
+    /// pooled [`LubEngine`] is frozen into a read-only column view (all
+    /// `(rel, attr)` column interning happens here, at most once per
+    /// session), each worker runs Algorithm 2's growth loop against the
+    /// view with worker-local lub/extension memos, and the memos merge
+    /// back into the session caches so later questions still hit them.
     ///
     /// Per-question results — explanations *and* errors — are identical
     /// to calling [`incremental`](WhyNotSession::incremental) on each
@@ -1552,37 +1553,76 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         questions: &[WhyNotQuestion],
         kind: LubKind,
     ) -> Vec<Result<Explanation<LsConcept>, SessionError>> {
-        // Phase 1+2 (sequential): bind, then freeze the shared state the
-        // workers read — adom, the lub column view, instance, pool, and
-        // an O(1) snapshot (`Arc` pointer clone) of the caches warmed by
-        // earlier questions, so a warm session keeps its reuse advantage
-        // inside the batch.
-        let bound: Vec<Result<BoundQuestion, SessionError>> =
-            questions.iter().map(|q| self.bind(q)).collect();
-        if bound.iter().all(Result::is_err) {
-            // Nothing will run Algorithm 2 (empty batch, or every
-            // question failed validation): don't freeze the lub engine —
-            // the sequential path would not have interned columns either.
-            // The rejected questions are tallied on worker 0, matching a
-            // fan-out whose only work was reporting errors.
-            self.record_batch(exec.threads(), &vec![0; bound.len()], &[]);
-            return bound
-                .into_iter()
-                .map(|b| match b {
-                    Err(e) => Err(e),
-                    // lint: allow(no-panic-in-lib) — guarded by the
-                    // `bound.iter().all(Result::is_err)` check above.
-                    Ok(_) => unreachable!("all bindings failed"),
+        let prepared: Vec<Prepared<BoundQuestion, Explanation<LsConcept>>> = questions
+            .iter()
+            .map(|q| match self.bind(q) {
+                Err(e) => Prepared::Done(Err(e)),
+                Ok(b) => Prepared::Run(b),
+            })
+            .collect();
+        self.lub_fan_out(exec, kind, &prepared, |adom, b, lub_of, ext_of| {
+            incremental_search_core(adom, b.view(), lub_of, ext_of)
+        })
+    }
+
+    /// The freeze-then-fan-out behind every lub-driven batch
+    /// ([`incremental_batch_with`](Self::incremental_batch_with) and
+    /// [`contrast_batch_with`](Self::contrast_batch_with)). `prepared`
+    /// holds the batch after the caller's sequential bind phase; `core`
+    /// answers one bound question from `adom(I)`, a lub provider and an
+    /// `LS`-extension provider.
+    ///
+    /// 1. **Freeze** (sequential): the pooled [`LubEngine`] is forced and
+    ///    frozen into a read-only column view — all `(rel, attr)` column
+    ///    interning happens here, at most once per session, whatever the
+    ///    thread count. Stale lubs of `kind` are repaired first (workers
+    ///    share the snapshot immutably and cannot repair entries), then
+    ///    the warm lub and `LS`-extension caches are snapshotted in O(1)
+    ///    (`Arc` pointer clones), so a warm session keeps its reuse
+    ///    advantage inside the batch.
+    /// 2. **Fan out**: each worker runs `core` against the frozen view
+    ///    with worker-local lub/extension memos; results land by question
+    ///    index.
+    /// 3. **Merge** (sequential): the worker-local memos fold back into
+    ///    the session caches (first write wins; all values are equal by
+    ///    purity), the caches are trimmed to the budget, and the batch is
+    ///    tallied per worker.
+    ///
+    /// A batch with nothing to run (empty, or only hits and rejections)
+    /// skips the freeze — the sequential path would not have interned
+    /// columns either — and tallies its questions on worker 0.
+    fn lub_fan_out<B, T>(
+        &self,
+        exec: &Executor,
+        kind: LubKind,
+        prepared: &[Prepared<B, T>],
+        core: impl Fn(
+                &[Value],
+                &B,
+                &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
+                &mut dyn FnMut(&LsConcept) -> Extension,
+            ) -> T
+            + Sync,
+    ) -> Vec<Result<T, SessionError>>
+    where
+        B: Sync,
+        T: Clone + Send + Sync,
+    {
+        if !prepared.iter().any(|p| matches!(p, Prepared::Run(_))) {
+            self.record_batch(exec.threads(), &vec![0; prepared.len()], &[]);
+            return prepared
+                .iter()
+                .filter_map(|p| match p {
+                    Prepared::Done(r) => Some(r.clone()),
+                    Prepared::Run(_) => None,
                 })
                 .collect();
         }
+        // Phase 1 (sequential): freeze the shared read-only state.
         let adom = self.adom();
         let view = self.lub_engine().freeze();
         let inst = self.instance();
         let pool = Arc::clone(self.pool());
-        // Lazy delta repair cannot run inside the fan-out (workers share
-        // the snapshot immutably), so bring every stale entry current
-        // first; the snapshot then contains only valid concepts.
         self.flush_stale_lubs(kind);
         let epoch = self.lub_log.borrow().len();
         let warm_lubs = Arc::clone(&self.lubs[kind_slot(kind)].borrow());
@@ -1599,20 +1639,21 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             .map(|_| std::sync::Mutex::new(Memos::default()))
             .collect();
 
-        // Phase 3: pure fan-out. Only `Send + Sync` state is captured.
-        let outcomes: Vec<(usize, Result<Explanation<LsConcept>, SessionError>)> = exec
-            .par_map_with_worker(questions.len(), |worker, i| match &bound[i] {
-                Err(e) => (worker, Err(e.clone())),
-                Ok(b) => {
+        // Phase 2: pure fan-out. Only `Send + Sync` state is captured
+        // (the session itself — `RefCell`s and all — is not).
+        let outcomes: Vec<(usize, Result<T, SessionError>)> =
+            exec.par_map_with_worker(prepared.len(), |worker, i| match &prepared[i] {
+                Prepared::Done(r) => (worker, r.clone()),
+                Prepared::Run(b) => {
                     // lint: allow(no-panic-in-lib) — a slot is poisoned only
                     // if a sibling worker panicked, and the executor re-raises
                     // that panic after join; this expect can never be the
                     // first failure the caller sees.
                     let mut memos = slots[worker].lock().expect("uncontended worker slot");
                     let (lubs, exts) = &mut *memos;
-                    let e = incremental_search_core(
+                    let answer = core(
                         adom,
-                        b.view(),
+                        b,
                         &mut |x| match warm_lubs.get(x).map(|e| &e.concept).or_else(|| lubs.get(x))
                         {
                             Some(hit) => hit.clone(),
@@ -1631,14 +1672,13 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                             }
                         },
                     );
-                    (worker, Ok(e))
+                    (worker, Ok(answer))
                 }
             });
 
-        // Phase 4 (sequential): merge the worker memos into the session
-        // caches (first write wins; all values are equal by purity) and
-        // tally per-worker counters. The snapshots drop first so
-        // `Arc::make_mut` mutates the live caches in place instead of
+        // Phase 3 (sequential): merge the worker memos into the session
+        // caches and tally per-worker counters. The snapshots drop first
+        // so `Arc::make_mut` mutates the live caches in place instead of
         // copying them.
         drop(warm_lubs);
         drop(warm_exts);
@@ -1770,12 +1810,12 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     }
 
     /// [`contrast_batch`](WhyNotSession::contrast_batch) on an explicit
-    /// executor — the same freeze-then-fan-out shape as
-    /// [`incremental_batch_with`](WhyNotSession::incremental_batch_with):
-    /// bind + cache-probe sequentially, freeze the lub column view and
-    /// O(1) snapshots of the warm caches, fan the two contrast cores out
-    /// with worker-local memos, then merge the memos and the computed
-    /// answers back. Per-question results are identical to calling
+    /// executor: probe the contrast cache and bind the misses
+    /// sequentially, run the two contrast cores through the same
+    /// freeze-then-fan-out as
+    /// [`incremental_batch_with`](WhyNotSession::incremental_batch_with),
+    /// then store the computed answers in question order. Per-question
+    /// results are identical to calling
     /// [`contrast`](WhyNotSession::contrast) on each question in order,
     /// at every thread count.
     pub fn contrast_batch_with(
@@ -1784,156 +1824,33 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         questions: &[ContrastQuestion],
         kind: LubKind,
     ) -> Vec<Result<Arc<ContrastAnswer>, SessionError>> {
-        enum Prep {
-            /// Already resolved sequentially: a cache hit or a binding
-            /// error.
-            Done(Result<Arc<ContrastAnswer>, SessionError>),
-            /// Bound and waiting for the fan-out.
-            Run(BoundContrast),
-        }
-        // Phase 1 (sequential): probe the contrast cache, bind misses.
-        let prepared: Vec<Prep> = questions
+        let prepared: Vec<Prepared<BoundContrast, Arc<ContrastAnswer>>> = questions
             .iter()
             .map(|q| {
                 let key = Self::contrast_key(q, kind);
                 if let Some((hit, stamp)) = self.contrast.borrow().get(&key) {
                     stamp.set(self.clock_tick());
-                    return Prep::Done(Ok(Arc::clone(hit)));
+                    return Prepared::Done(Ok(Arc::clone(hit)));
                 }
                 match self.bind_contrast(q) {
-                    Err(e) => Prep::Done(Err(e)),
-                    Ok(b) => Prep::Run(b),
+                    Err(e) => Prepared::Done(Err(e)),
+                    Ok(b) => Prepared::Run(b),
                 }
             })
             .collect();
-        if !prepared.iter().any(|p| matches!(p, Prep::Run(_))) {
-            // Nothing to compute (hits and rejections only): don't freeze
-            // the lub engine — the sequential path would not have either.
-            self.record_batch(exec.threads(), &vec![0; prepared.len()], &[]);
-            return prepared
-                .into_iter()
-                .map(|p| match p {
-                    Prep::Done(r) => r,
-                    // lint: allow(no-panic-in-lib) — guarded by the
-                    // `any(Prep::Run)` check above.
-                    Prep::Run(_) => unreachable!("no runnable questions"),
-                })
-                .collect();
-        }
-        // Phase 2 (sequential): freeze the shared read-only state.
-        let adom = self.adom();
-        let view = self.lub_engine().freeze();
-        let inst = self.instance();
-        let pool = Arc::clone(self.pool());
-        self.flush_stale_lubs(kind);
-        let epoch = self.lub_log.borrow().len();
-        let warm_lubs = Arc::clone(&self.lubs[kind_slot(kind)].borrow());
-        let warm_exts = Arc::clone(&self.ls_exts.borrow());
-
-        type Memos = (
-            BTreeMap<BTreeSet<Value>, LsConcept>,
-            BTreeMap<LsConcept, Extension>,
-        );
-        let slots: Vec<std::sync::Mutex<Memos>> = (0..exec.threads())
-            .map(|_| std::sync::Mutex::new(Memos::default()))
-            .collect();
-
-        // Phase 3: pure fan-out over `Send + Sync` state only.
-        let outcomes: Vec<(usize, Result<Arc<ContrastAnswer>, SessionError>)> = exec
-            .par_map_with_worker(prepared.len(), |worker, i| match &prepared[i] {
-                Prep::Done(r) => (worker, r.clone()),
-                Prep::Run(b) => {
-                    // lint: allow(no-panic-in-lib) — a slot is poisoned only
-                    // if a sibling worker panicked, and the executor re-raises
-                    // that panic after join; this expect can never be the
-                    // first failure the caller sees.
-                    let mut memos = slots[worker].lock().expect("uncontended worker slot");
-                    let (lubs, exts) = &mut *memos;
-                    let k_vals = restriction_values(adom.iter().cloned(), &b.missing);
-                    let answer = contrast_core(
-                        &k_vals,
-                        b.view(),
-                        &b.foil,
-                        &mut |x| match warm_lubs.get(x).map(|e| &e.concept).or_else(|| lubs.get(x))
-                        {
-                            Some(hit) => hit.clone(),
-                            None => {
-                                let c = engine_lub(&view, kind, x);
-                                lubs.insert(x.clone(), c.clone());
-                                c
-                            }
-                        },
-                        &mut |c| match warm_exts.get(c).or_else(|| exts.get(c)) {
-                            Some(hit) => hit.clone(),
-                            None => {
-                                let ext = c.extension_in(inst, &pool);
-                                exts.insert(c.clone(), ext.clone());
-                                ext
-                            }
-                        },
-                    );
-                    (worker, Ok(Arc::new(answer)))
-                }
-            });
-
-        // Phase 4 (sequential): merge worker memos into the session
-        // caches (first write wins; equal by purity), then the computed
-        // contrastive answers themselves, in question order.
-        drop(warm_lubs);
-        drop(warm_exts);
-        let mut per_worker_lubs: Vec<usize> = Vec::with_capacity(slots.len());
-        {
-            let mut lub_slot = self.lubs[kind_slot(kind)].borrow_mut();
-            let mut ext_slot = self.ls_exts.borrow_mut();
-            let lub_cache = Arc::make_mut(&mut *lub_slot);
-            let ext_cache = Arc::make_mut(&mut *ext_slot);
-            for slot in slots {
-                // lint: allow(no-panic-in-lib) — scoped workers joined before
-                // this line; a poisoned slot implies a worker panic that the
-                // executor already propagated.
-                let (lubs, exts) = slot.into_inner().expect("workers joined");
-                per_worker_lubs.push(lubs.len());
-                if self.budget.lubs > 0 {
-                    for (k, v) in lubs {
-                        if let std::collections::btree_map::Entry::Vacant(slot) = lub_cache.entry(k)
-                        {
-                            let pooled = slot.key().iter().all(|val| pool.id_of(val).is_some());
-                            slot.insert(LubEntry {
-                                concept: v,
-                                pooled,
-                                epoch,
-                                stamp: self.clock_tick(),
-                            });
-                        }
-                    }
-                }
-                if self.budget.ls_extensions > 0 {
-                    let ls_finite = self.budget.ls_extensions != usize::MAX;
-                    for (k, v) in exts {
-                        if ls_finite {
-                            self.ls_lru
-                                .borrow_mut()
-                                .entry(k.clone())
-                                .or_insert_with(|| self.clock_tick());
-                        }
-                        ext_cache.entry(k).or_insert(v);
-                    }
-                }
-            }
-        }
-        for (i, (p, (_, result))) in prepared.iter().zip(&outcomes).enumerate() {
-            if let (Prep::Run(_), Ok(answer)) = (p, result) {
-                let key = Self::contrast_key(&questions[i], kind);
+        let outcomes = self.lub_fan_out(exec, kind, &prepared, |adom, b, lub_of, ext_of| {
+            let k_vals = restriction_values(adom.iter().cloned(), &b.missing);
+            Arc::new(contrast_core(&k_vals, b.view(), &b.foil, lub_of, ext_of))
+        });
+        for ((q, p), result) in questions.iter().zip(&prepared).zip(&outcomes) {
+            if let (Prepared::Run(_), Ok(answer)) = (p, result) {
+                let key = Self::contrast_key(q, kind);
                 if !self.contrast.borrow().contains_key(&key) {
                     self.store_contrast(key, answer);
                 }
             }
         }
-        // The merge can overshoot a finite budget; trim LRU-first.
-        self.trim_to_budget();
-        let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers, &per_worker_lubs);
-        outcomes.into_iter().map(|(_, result)| result).collect()
+        outcomes
     }
 }
 
@@ -2051,11 +1968,10 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     /// (per query, position, and concept). Steady state does no probing
     /// at all — each position costs its cache lookups plus one arena
     /// word-copy per candidate. Candidates come out ordered ascending by
-    /// conflict popcount, exactly like
-    /// [`exhaustive::build_candidates_with`] (whose sort key `(count,
-    /// list position)` this reproduces — `indices_for` lists are
-    /// ascending), so session answers stay bit-for-bit equal to the
-    /// one-shot and batch paths.
+    /// conflict popcount, exactly like the one-shot
+    /// `exhaustive::build_candidates` (whose sort key `(count, list
+    /// position)` this reproduces — `indices_for` lists are ascending),
+    /// so session answers stay bit-for-bit equal to the one-shot path.
     fn cached_candidates_for(
         &self,
         bound: &BoundQuestion,
@@ -2067,7 +1983,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         for (i, a_i) in bound.tuple.iter().enumerate() {
             let idxs = self.indices_for(a_i);
             if idxs.is_empty() {
-                exhaustive::recycle_candidates(Some(arena), out);
+                exhaustive::recycle_candidates(arena, out);
                 return None;
             }
             let mut entries: Vec<(usize, ConflictBits)> = idxs
@@ -2102,7 +2018,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &WhyNotQuestion,
     ) -> Result<Vec<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let arena = Some(self.ctx.scratch());
+        let arena = self.ctx.scratch();
         let Some(candidates) = self.cached_candidates_for(&bound) else {
             return Ok(Vec::new());
         };
@@ -2117,7 +2033,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         q: &WhyNotQuestion,
     ) -> Result<Option<Explanation<O::Concept>>, SessionError> {
         let bound = self.bind(q)?;
-        let arena = Some(self.ctx.scratch());
+        let arena = self.ctx.scratch();
         let Some(candidates) = self.cached_candidates_for(&bound) else {
             return Ok(None);
         };
@@ -2176,6 +2092,34 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         Ok(variations::run_card_maximal_greedy(&lists, bound.view()))
     }
 
+    /// Algorithm 1 over a whole question slice: the
+    /// [`exhaustive`](WhyNotSession::exhaustive) path on each question in
+    /// order, on the calling thread. The batch is still counted in
+    /// [`stats`](WhyNotSession::stats) (`batches`, `batch_questions`),
+    /// and [`last_batch_workers`](WhyNotSession::last_batch_workers)
+    /// reports one worker that answered every question.
+    pub fn answer_batch(
+        &self,
+        questions: &[WhyNotQuestion],
+    ) -> Vec<Result<Vec<Explanation<O::Concept>>, SessionError>> {
+        let results = questions.iter().map(|q| self.exhaustive(q)).collect();
+        self.record_batch(1, &vec![0; questions.len()], &[]);
+        results
+    }
+
+    /// [`answer_batch`](WhyNotSession::answer_batch); the executor is
+    /// unused. Algorithm 1 runs on the calling thread because the
+    /// session's conflict cache beats a fan-out: warm questions cost a
+    /// cache probe and a word copy per candidate, while workers would
+    /// have to rebuild those bitsets (see `BENCH_parallel.json`).
+    pub fn answer_batch_with(
+        &self,
+        _exec: &Executor,
+        questions: &[WhyNotQuestion],
+    ) -> Vec<Result<Vec<Explanation<O::Concept>>, SessionError>> {
+        self.answer_batch(questions)
+    }
+
     /// Per-position subsumption-maximal *named* separators: for each
     /// position `i`, every finite-ontology concept `C` with
     /// `foil[i] ∈ ext(C)` and `missing[i] ∉ ext(C)` that no other such
@@ -2217,105 +2161,6 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
             out.push(crate::contrast::retain_ext_maximal(separators));
         }
         Ok(out)
-    }
-}
-
-impl<O> WhyNotSession<'_, O>
-where
-    O: FiniteOntology + Sync,
-    O::Concept: Send + Sync,
-{
-    /// Algorithm 1 over a whole question slice, fanned out across the
-    /// session executor's workers — the batched service's parallel entry
-    /// point (freeze-then-fan-out):
-    ///
-    /// 1. **Bind** (sequential): every question is validated and its
-    ///    answer set resolved through the shared query cache.
-    /// 2. **Freeze** (sequential): the concept list, the one-pass
-    ///    extension table, and every needed per-constant candidate index
-    ///    list are forced into the session caches — *all* ontology
-    ///    `ext(c, I)` evaluations happen here, so the ≤-one-eval-per-
-    ///    concept session invariant holds at every thread count.
-    /// 3. **Fan out**: one task per question; workers read the shared
-    ///    table and the `Arc`ed index lists, run the candidate
-    ///    construction, the product search, and most-general filtering.
-    ///    Results land by question index.
-    ///
-    /// Per-question results — explanations, their order, *and* errors —
-    /// are identical to calling [`exhaustive`](WhyNotSession::exhaustive)
-    /// on each question in order, at every thread count.
-    pub fn answer_batch(
-        &self,
-        questions: &[WhyNotQuestion],
-    ) -> Vec<Result<Vec<Explanation<O::Concept>>, SessionError>> {
-        self.answer_batch_with(&self.batch_executor(), questions)
-    }
-
-    /// [`answer_batch`](WhyNotSession::answer_batch) on an explicit
-    /// executor.
-    pub fn answer_batch_with(
-        &self,
-        exec: &Executor,
-        questions: &[WhyNotQuestion],
-    ) -> Vec<Result<Vec<Explanation<O::Concept>>, SessionError>> {
-        // Phase 1 (sequential): bind every question through the shared
-        // caches.
-        let bound: Vec<Result<BoundQuestion, SessionError>> =
-            questions.iter().map(|q| self.bind(q)).collect();
-        // Phase 2 (sequential): freeze the shared read-only state — the
-        // concept list + extension table (every `ext` evaluation happens
-        // here) and the per-constant candidate index lists.
-        let (all, table) = self.finite_index();
-        let lists: Vec<Option<Vec<Arc<Vec<usize>>>>> = bound
-            .iter()
-            .map(|b| match b {
-                Ok(b) => Some(b.tuple.iter().map(|a| self.indices_for(a)).collect()),
-                Err(_) => None,
-            })
-            .collect();
-        let ontology = self.ontology();
-
-        // Phase 3: pure fan-out over `Send + Sync` state only (the
-        // session itself — `RefCell`s and all — is *not* captured).
-        type Outcome<C> = (usize, Result<Vec<Explanation<C>>, SessionError>);
-        let outcomes: Vec<Outcome<O::Concept>> =
-            exec.par_map_with_worker(questions.len(), |worker, i| {
-                let result = match &bound[i] {
-                    Err(e) => Err(e.clone()),
-                    Ok(b) => {
-                        // lint: allow(no-panic-in-lib) — `lists[i]` is Some
-                        // exactly when `bound[i]` is Ok; this arm matched Ok.
-                        let lists_i = lists[i].as_ref().expect("bound questions have lists");
-                        let view = b.view();
-                        // Candidate lists come from the frozen snapshot:
-                        // positions are consumed in order, one per call.
-                        let mut position = 0usize;
-                        // Workers run in parallel and must not share the
-                        // session's single-threaded arena — they allocate
-                        // locally (`None`).
-                        let found = match exhaustive::build_candidates_with(
-                            all,
-                            table,
-                            |_| {
-                                let idxs = Arc::clone(&lists_i[position]);
-                                position += 1;
-                                idxs
-                            },
-                            view,
-                            None,
-                        ) {
-                            None => Vec::new(),
-                            Some(candidates) => exhaustive::run_exhaustive(&candidates, view, None),
-                        };
-                        Ok(exhaustive::retain_most_general(ontology, found))
-                    }
-                };
-                (worker, result)
-            });
-
-        let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
-        self.record_batch(exec.threads(), &question_workers, &[]);
-        outcomes.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -2607,14 +2452,16 @@ mod tests {
             let exec = Executor::with_threads(threads);
             let got = session.answer_batch_with(&exec, &questions);
             assert_eq!(got, expected, "batch diverged at {threads} threads");
-            // The eval-once invariant holds under parallelism: all
-            // evaluations happened in the sequential freeze phase.
+            // The eval-once invariant holds at every thread count: all
+            // evaluations happened in the one-pass extension table.
             assert_eq!(session.evaluations(), 6);
             let stats = session.stats();
             assert_eq!(stats.batches, 1);
             assert_eq!(stats.batch_questions, questions.len());
+            // Algorithm 1 batches run on the calling thread: one worker,
+            // whatever the executor.
             let workers = session.last_batch_workers();
-            assert_eq!(workers.len(), threads);
+            assert_eq!(workers.len(), 1);
             assert_eq!(
                 workers.iter().map(|w| w.questions).sum::<usize>(),
                 questions.len()
@@ -3251,6 +3098,69 @@ mod tests {
                 if let (Ok(first), Ok(last)) = (&again[0], &again[3]) {
                     assert!(Arc::ptr_eq(first, last), "warm duplicate shares the Arc");
                 }
+            }
+        }
+    }
+
+    /// Both lub-driven batches on a session warmed before a delta equal
+    /// a fresh session's per-question answers at every thread count:
+    /// the shared fan-out flushes the lubs the delta left stale before
+    /// its workers read the snapshot.
+    #[test]
+    fn lub_batches_after_a_delta_match_a_fresh_session() {
+        let (o, schema, inst, tc) = fixture();
+        let questions = vec![
+            WhyNotQuestion::new(two_hop(tc), [s("Amsterdam"), s("New York")]),
+            WhyNotQuestion::new(two_hop(tc), [s("Rome"), s("Tokyo")]),
+            WhyNotQuestion::new(one_hop(tc), [s("Santa Cruz"), s("Berlin")]),
+            WhyNotQuestion::new(one_hop(tc), [s("Kyoto"), s("Tokyo")]), // an answer after the delta
+        ];
+        let contrasts = vec![
+            contrast_pair(tc),
+            ContrastQuestion::new(
+                two_hop(tc),
+                [s("Tokyo"), s("Santa Cruz")],
+                [s("New York"), s("Santa Cruz")],
+            ),
+        ];
+        let mut delta = Delta::new();
+        delta.insert(tc, vec![s("Kyoto"), s("Tokyo")]);
+        delta.insert(tc, vec![s("Rome"), s("Kyoto")]);
+        delta.delete(tc, vec![s("Berlin"), s("Amsterdam")]);
+        for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+            for threads in [1, 2, 4] {
+                let mut session = WhyNotSession::new(&o, &schema, &inst);
+                for q in &questions {
+                    let _ = session.incremental(q, kind);
+                }
+                for q in &contrasts {
+                    let _ = session.contrast(q, kind);
+                }
+                assert!(session.stats().cached_lubs > 0, "warmed before the delta");
+                session.apply_delta(&delta).unwrap();
+
+                let now = session.instance().clone();
+                let fresh = WhyNotSession::new(&o, &schema, &now);
+                let exec = Executor::with_threads(threads);
+                let expected: Vec<_> = questions
+                    .iter()
+                    .map(|q| fresh.incremental(q, kind))
+                    .collect();
+                assert!(
+                    expected[3].is_err(),
+                    "the delta made the last tuple an answer"
+                );
+                assert_eq!(
+                    session.incremental_batch_with(&exec, &questions, kind),
+                    expected,
+                    "incremental {kind:?} diverged at {threads} threads"
+                );
+                let expected: Vec<_> = contrasts.iter().map(|q| fresh.contrast(q, kind)).collect();
+                assert_eq!(
+                    session.contrast_batch_with(&exec, &contrasts, kind),
+                    expected,
+                    "contrast {kind:?} diverged at {threads} threads"
+                );
             }
         }
     }

@@ -72,8 +72,8 @@ fn s(x: &str) -> Value {
     Value::str(x)
 }
 
-/// The Figure 3 ontology and Example 3.4 question (arity 2, so the seed
-/// would have evaluated every concept twice in `build_candidates`).
+/// The Figure 3 ontology and Example 3.4 question (arity 2, so a
+/// per-position candidate build would evaluate every concept twice).
 fn fixture() -> (CountingOntology, WhyNotInstance) {
     let o = ExplicitOntology::builder()
         .concept(
@@ -275,9 +275,10 @@ impl FiniteOntology for SyncCountingOntology {
 
 #[test]
 fn parallel_batch_evaluates_each_concept_at_most_once_total() {
-    // The eval-once contract survives the parallel fan-out at every
-    // thread count: all `ext` evaluations happen in `answer_batch`'s
-    // sequential freeze phase, so workers never evaluate anything.
+    // The eval-once contract holds for batches at every thread count:
+    // `answer_batch` runs the session's cached Algorithm 1 path on the
+    // calling thread, so the one-pass extension table is the only place
+    // `ext` is ever evaluated.
     let (counting, wn) = fixture();
     let o = SyncCountingOntology::new(counting.inner);
     let schema = wn.schema.clone();

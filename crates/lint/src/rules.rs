@@ -34,10 +34,9 @@ const DETERMINISTIC_CRATES: [&str; 9] = [
 /// Every `WHYNOT_*` environment variable the workspace is allowed to
 /// read. Adding a knob means adding it here **and** documenting it in
 /// the README — the `env-var-registry` rule cross-checks both.
-pub const ENV_REGISTRY: [&str; 8] = [
+pub const ENV_REGISTRY: [&str; 7] = [
     "WHYNOT_THREADS",
     "WHYNOT_SPARSE_THRESHOLD",
-    "WHYNOT_CONTRAST_PAR_THRESHOLD",
     "WHYNOT_SERVER_THREADS",
     "WHYNOT_SERVER_QUEUE_DEPTH",
     "WHYNOT_SERVER_CACHE_BUDGET",

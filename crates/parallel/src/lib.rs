@@ -40,9 +40,12 @@
 //!
 //! | module / primitive | paper hook |
 //! |---|---|
-//! | [`Executor::par_map_index`] | Algorithm 1 (§5.1): per-position candidate lists and answer-conflict bits are independent per candidate concept — the embarrassingly parallel half of EXHAUSTIVE SEARCH |
-//! | [`Executor::par_map`] | Algorithm 2 (§5.2) permuted reruns: MGE enumeration fans growth orders out over one frozen lub-column view (Lemmas 5.1/5.2 columns built once, shared read-only) |
-//! | [`Executor::par_map_with_worker`] | the session batch (`answer_batch`): one question per task, per-worker counters proving the ≤-one-eval-per-concept and ≤-one-column-build session invariants survive parallelism |
+//! | [`Executor::par_map`] | Algorithm 2 (§5.2) permuted reruns: MGE enumeration fans growth orders out over one frozen lub-column view (Lemmas 5.1/5.2 columns built once, shared read-only); the standalone contrast batch does the same per question |
+//! | [`Executor::par_map_with_worker`] | the session's lub-driven batches (`incremental_batch`, `contrast_batch`): one question per task, per-worker counters proving the ≤-one-column-build session invariant survives parallelism |
+//!
+//! Algorithm 1 (§5.1, EXHAUSTIVE SEARCH) has no parallel path: the
+//! session's conflict-bit cache answers warm questions faster on the
+//! calling thread than a fan-out that rebuilds those bits per worker.
 //!
 //! # Examples
 //!

@@ -12,6 +12,13 @@
 use crate::error::RelError;
 use std::fmt;
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let one hostile
+/// line (`[[[[…`) overflow the stack and abort the process. Every
+/// document this crate writes — wire responses, deltas, WAL records,
+/// snapshots — nests only a handful of levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// A JSON document.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Json {
@@ -78,10 +85,11 @@ impl Json {
     }
 
     /// Parses a JSON document (the full input must be one document).
+    /// Nesting deeper than [`MAX_JSON_DEPTH`] is an error.
     pub fn parse(src: &str) -> Result<Json, RelError> {
         let bytes = src.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(src, bytes, &mut pos)?;
+        let value = parse_value(src, bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(RelError::Invalid(format!(
@@ -213,11 +221,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, RelError> {
+/// Parses one value; `depth` counts the arrays and objects enclosing it.
+fn parse_value(src: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, RelError> {
     skip_ws(bytes, pos);
     let Some(&b) = bytes.get(*pos) else {
         return Err(RelError::Invalid("unexpected end of JSON input".into()));
     };
+    if matches!(b, b'[' | b'{') && depth >= MAX_JSON_DEPTH {
+        return Err(RelError::Invalid(format!(
+            "JSON nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+        )));
+    }
     match b {
         b'n' => parse_literal(bytes, pos, "null", Json::Null),
         b't' => parse_literal(bytes, pos, "true", Json::Bool(true)),
@@ -232,7 +246,7 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, RelErro
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(src, bytes, pos)?);
+                items.push(parse_value(src, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -266,7 +280,7 @@ fn parse_value(src: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, RelErro
                     )));
                 }
                 *pos += 1;
-                let value = parse_value(src, bytes, pos)?;
+                let value = parse_value(src, bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -423,6 +437,20 @@ mod tests {
         assert!(Json::parse("1.5").is_err());
         assert!(Json::parse("{} junk").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_json_depth() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_limit = nested(open, close, MAX_JSON_DEPTH);
+            assert!(Json::parse(&at_limit).is_ok(), "{open}: limit must parse");
+            let deeper = nested(open, close, MAX_JSON_DEPTH + 1);
+            let err = Json::parse(&deeper).unwrap_err().to_string();
+            assert!(err.contains("nesting"), "{open}: {err}");
+        }
     }
 
     #[test]

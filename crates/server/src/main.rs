@@ -13,7 +13,7 @@
 //!
 //! TCP clients are served sequentially by one accept loop — the
 //! workspace confines `std::thread` to `crates/parallel`, and the
-//! parallelism that matters (question batches) already fans out
+//! parallelism that matters (lub-driven question batches) already fans out
 //! through the executor inside the core. One client at a time also
 //! keeps tenant state single-writer by construction.
 

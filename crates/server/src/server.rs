@@ -776,7 +776,8 @@ fn run_tenant_batch(
     let mut results: Vec<Option<Result<Payload, ServerError>>> =
         (0..batch.len()).map(|_| None).collect();
 
-    // Group by algorithm; batched algorithms fan out on the executor.
+    // Group by algorithm; the lub-driven batches fan out on the executor,
+    // exhaustive batches run on this thread out of the conflict cache.
     for algo in [
         Algo::Exhaustive,
         Algo::Find,

@@ -12,11 +12,9 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-#[test]
-fn scripted_session_matches_golden_transcript() {
-    let script = include_str!("data/smoke.in");
-    let golden = include_str!("data/smoke.golden");
-
+/// Pipes `script` through the built `whynot-server` binary and returns
+/// its stdout, asserting a clean exit.
+fn run_server(script: &str) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_whynot-server"))
         .env("WHYNOT_SERVER_THREADS", "2")
         .env_remove("WHYNOT_SERVER_QUEUE_DEPTH")
@@ -43,7 +41,14 @@ fn scripted_session_matches_golden_transcript() {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    let got = String::from_utf8(out.stdout).expect("utf-8 transcript");
+    String::from_utf8(out.stdout).expect("utf-8 transcript")
+}
+
+#[test]
+fn scripted_session_matches_golden_transcript() {
+    let script = include_str!("data/smoke.in");
+    let golden = include_str!("data/smoke.golden");
+    let got = run_server(script);
     if got != golden {
         for (i, (g, w)) in got.lines().zip(golden.lines()).enumerate() {
             assert_eq!(g, w, "transcript diverges at line {}", i + 1);
@@ -55,4 +60,29 @@ fn scripted_session_matches_golden_transcript() {
         );
         panic!("transcripts differ only in trailing whitespace");
     }
+}
+
+/// One hostile wire line must not abort the process: a `mutate` whose
+/// delta nests 200 000 arrays deep (a recursive parser would overflow
+/// the stack) is answered with an error, and the next line is served.
+#[test]
+fn deeply_nested_mutate_line_is_rejected_and_serving_continues() {
+    let script = include_str!("data/smoke.in");
+    // The tenant definitions from the smoke script, up to its first ask.
+    let end = script
+        .find("tenants\n")
+        .expect("smoke script lists tenants");
+    let create = &script[..end];
+    let hostile = format!("mutate alpha | {}\n", "[".repeat(200_000));
+    let got = run_server(&format!("{create}{hostile}ping\nshutdown\n"));
+    let lines: Vec<&str> = got.lines().collect();
+    let n = lines.len();
+    assert!(n >= 3, "{got}");
+    let rejected = lines[n - 3];
+    assert!(
+        rejected.starts_with("{\"ok\":false,\"command\":\"mutate\""),
+        "{rejected}"
+    );
+    assert!(rejected.contains("nesting"), "{rejected}");
+    assert_eq!(lines[n - 2], "{\"ok\":true,\"command\":\"ping\"}");
 }

@@ -1,12 +1,14 @@
-//! Parallel batched why-not service: one `WhyNotSession` fanning a whole
-//! question slice out across scoped worker threads, with bit-for-bit the
-//! same answers the sequential loop produces.
+//! Batched why-not service: one `WhyNotSession` answering whole question
+//! slices. Algorithm 1 batches run sequentially on the calling thread
+//! (the session's conflict cache beats a fan-out); the lub-driven batches
+//! (Algorithm 2, contrast) fan out across scoped worker threads — both
+//! with bit-for-bit the same answers the sequential loop produces.
 //!
 //! Run with:
 //!
 //! ```sh
 //! cargo run --release --example parallel_batch
-//! # or pin the worker count:
+//! # or pin the worker count of the lub-driven batches:
 //! WHYNOT_THREADS=4 cargo run --release --example parallel_batch
 //! ```
 
@@ -30,47 +32,53 @@ fn main() -> Result<(), SessionError> {
         THREADS_ENV,
     );
 
-    // The sequential reference: one question at a time through the
-    // session caches.
+    // Algorithm 1: the batch is the per-question `exhaustive` loop, so
+    // it matches a separate sequential session answer for answer.
     let sequential = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
-    let t0 = Instant::now();
     let mut expected = Vec::new();
     for q in &w.questions {
         expected.push(sequential.exhaustive(q)?);
     }
-    let t_seq = t0.elapsed();
-
-    // The parallel batch: bind + freeze sequentially, then one task per
-    // question across the executor's workers.
     let session = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
-    let t1 = Instant::now();
+    let t0 = Instant::now();
     let results = session.answer_batch_with(&exec, &w.questions);
-    let t_batch = t1.elapsed();
-
-    // Same explanations, same order — always, at every thread count.
+    let t_batch = t0.elapsed();
     for (got, want) in results.iter().zip(&expected) {
         assert_eq!(got.as_ref().expect("workload questions are valid"), want);
     }
-    println!(
-        "sequential loop: {:>8.2?}\nanswer_batch:    {:>8.2?}  (identical answers)\n",
-        t_seq, t_batch
-    );
-
-    // The session invariants survive the fan-out: every ontology
-    // evaluation happened once, in the freeze phase.
     let stats = session.stats();
     println!(
-        "evaluations: {} (= concepts, not questions × concepts); \
-         batches: {}; per-worker share:",
-        stats.evaluations, stats.batches
+        "answer_batch (Algorithm 1, calling thread): {t_batch:>8.2?}  (identical answers)\n\
+         evaluations: {} (= concepts, not questions × concepts); workers: {}\n",
+        stats.evaluations,
+        session.last_batch_workers().len()
+    );
+
+    // Algorithm 2: the batch fans out over one frozen lub-column view,
+    // with worker-local memos merged back into the session caches.
+    let t1 = Instant::now();
+    let mut expected_incr = Vec::new();
+    for q in &w.questions {
+        expected_incr.push(sequential.incremental(q, LubKind::SelectionFree)?);
+    }
+    let t_seq = t1.elapsed();
+    let t2 = Instant::now();
+    let incr = session.incremental_batch_with(&exec, &w.questions, LubKind::SelectionFree);
+    let t_fan = t2.elapsed();
+    for (got, want) in incr.iter().zip(&expected_incr) {
+        assert_eq!(got.as_ref().expect("workload questions are valid"), want);
+    }
+    println!(
+        "sequential incremental loop: {t_seq:>8.2?}\n\
+         incremental_batch (fan-out): {t_fan:>8.2?}  (identical answers)\nper-worker share:"
     );
     for ws in session.last_batch_workers() {
-        println!("  worker {}: {} questions", ws.worker, ws.questions);
+        println!(
+            "  worker {}: {} questions, {} lubs computed",
+            ws.worker, ws.questions, ws.lubs_computed
+        );
     }
 
-    // Algorithm 2 batches fan out the same way, over one frozen
-    // lub-column view.
-    let incr = session.incremental_batch(&w.questions[..10], LubKind::SelectionFree);
     let first = incr[0].as_ref().expect("valid question");
     let tuple: Vec<String> = w.questions[0].tuple.iter().map(Value::to_string).collect();
     println!(
