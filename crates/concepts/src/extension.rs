@@ -178,6 +178,18 @@ impl ValueSet {
         }
     }
 
+    /// Whether the sets share no member. Word-parallel (unrolled kernel)
+    /// when the pools are shared; falls back to per-value membership of
+    /// `self`'s members otherwise.
+    pub fn is_disjoint(&self, other: &ValueSet) -> bool {
+        if self.same_pool(other) {
+            kernels::disjoint(&self.words, &other.words)
+                && self.extra.iter().all(|v| !other.extra.contains(v))
+        } else {
+            self.iter().all(|v| !other.contains(v))
+        }
+    }
+
     /// Set intersection. Word-parallel (unrolled kernel) when the pools
     /// are shared.
     pub fn intersection(&self, other: &ValueSet) -> ValueSet {
@@ -576,6 +588,25 @@ mod tests {
         assert_eq!(set.extra().len(), 1);
         let order: Vec<Value> = set.iter().cloned().collect();
         assert_eq!(order, vec![Value::int(1), Value::str("fresh")]);
+    }
+
+    #[test]
+    fn disjointness_is_exact_across_pools_and_overflow() {
+        let pool = Arc::new(ConstPool::from_values((0..70).map(Value::int)));
+        let set =
+            |vals: &[&Value]| ValueSet::collect_refs_in(Arc::clone(&pool), vals.iter().copied());
+        let (lo, hi, fresh) = (Value::int(3), Value::int(69), Value::str("fresh"));
+        assert!(set(&[&lo]).is_disjoint(&set(&[&hi])));
+        assert!(!set(&[&lo, &hi]).is_disjoint(&set(&[&hi])));
+        // Overflow members meet only overflow members.
+        assert!(set(&[&fresh]).is_disjoint(&set(&[&lo])));
+        assert!(!set(&[&fresh]).is_disjoint(&set(&[&fresh, &lo])));
+        // A private pool takes the per-value path with the same verdicts.
+        let private = ValueSet::from_values([hi.clone(), fresh.clone()]);
+        assert!(!set(&[&hi]).is_disjoint(&private));
+        assert!(!private.is_disjoint(&set(&[&fresh])));
+        assert!(private.is_disjoint(&set(&[&lo])));
+        assert!(ValueSet::empty_in(Arc::clone(&pool)).is_disjoint(&private));
     }
 
     #[test]

@@ -46,6 +46,27 @@ pub fn subset_scalar(sub: &[u64], sup: &[u64]) -> bool {
     sub.iter().zip(sup).all(|(a, b)| a & !b == 0)
 }
 
+/// Disjointness test over equal-length word slices: `a & b == 0`,
+/// exiting at the first overlapping chunk.
+#[inline]
+pub fn disjoint(a: &[u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let (a4, a_tail) = as_chunks(a);
+    let (b4, b_tail) = as_chunks(b);
+    for (x, y) in a4.iter().zip(b4) {
+        if (x[0] & y[0]) | (x[1] & y[1]) | (x[2] & y[2]) | (x[3] & y[3]) != 0 {
+            return false;
+        }
+    }
+    a_tail.iter().zip(b_tail).all(|(x, y)| x & y == 0)
+}
+
+/// Scalar reference for [`disjoint`] (proptest twin).
+#[inline]
+pub fn disjoint_scalar(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x & y == 0)
+}
+
 /// In-place intersection `dst &= src`; returns `true` iff the result is
 /// all-zero (the product walk's "this subtree already excludes every
 /// answer" signal, fused so the walk never re-scans the mask).

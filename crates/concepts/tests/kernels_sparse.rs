@@ -55,6 +55,15 @@ proptest! {
     }
 
     #[test]
+    fn disjoint_matches_scalar((a, b) in word_pair()) {
+        prop_assert_eq!(kernels::disjoint(&a, &b), kernels::disjoint_scalar(&a, &b));
+        let mut both = a.clone();
+        let empty = kernels::and_assign(&mut both, &b);
+        prop_assert_eq!(kernels::disjoint(&a, &b), empty);
+        prop_assert!(kernels::disjoint(&a, &vec![0u64; a.len()]));
+    }
+
+    #[test]
     fn and_assign_matches_scalar_and_reports_emptiness((a, b) in word_pair()) {
         let mut dst = a.clone();
         let empty = kernels::and_assign(&mut dst, &b);

@@ -53,7 +53,7 @@
 use crate::incremental::{engine_lub, LubKind};
 use crate::ontology::FiniteOntology;
 use crate::session::SessionError;
-use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef};
+use crate::whynot::{exts_form_explanation_q, Blockers, Explanation, QuestionRef};
 use crate::EvalContext;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -187,6 +187,7 @@ fn rank_candidates(
 /// candidate, so nothing more general can be one either.
 pub(crate) fn foil_mge_core(
     k_vals: &[Value],
+    pool: &Arc<ConstPool>,
     q: QuestionRef<'_>,
     foil: &Tuple,
     lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
@@ -200,25 +201,22 @@ pub(crate) fn foil_mge_core(
         .map(|(a, b)| [a.clone(), b.clone()].into_iter().collect())
         .collect();
     let mut concepts: Vec<LsConcept> = support.iter().map(&mut *lub_of).collect();
-    let mut exts: Vec<Extension> = concepts.iter().map(&mut *ext_of).collect();
+    let exts: Vec<Extension> = concepts.iter().map(&mut *ext_of).collect();
     if !exts_form_explanation_q(&exts, q) {
         return None;
     }
+    let mut guard = Blockers::new(q, pool, exts);
     for j in 0..m {
-        for b in rank_candidates(k_vals, &support[j], &exts[j], lub_of, ext_of) {
-            if exts[j].contains(&b) {
+        for b in rank_candidates(k_vals, &support[j], guard.ext(j), lub_of, ext_of) {
+            if guard.ext(j).contains(&b) {
                 continue; // covered by an earlier absorption this sweep
             }
             let mut grown = support[j].clone();
             grown.insert(b.clone());
             let candidate = lub_of(&grown);
-            let candidate_ext = ext_of(&candidate);
-            let saved = std::mem::replace(&mut exts[j], candidate_ext);
-            if exts_form_explanation_q(&exts, q) {
+            if guard.try_accept(j, ext_of(&candidate)) {
                 concepts[j] = candidate;
                 support[j] = grown;
-            } else {
-                exts[j] = saved;
             }
         }
     }
@@ -232,6 +230,7 @@ pub(crate) fn foil_mge_core(
 /// plug into.
 pub(crate) fn contrast_core(
     k_vals: &[Value],
+    pool: &Arc<ConstPool>,
     q: QuestionRef<'_>,
     foil: &Tuple,
     lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
@@ -243,7 +242,7 @@ pub(crate) fn contrast_core(
         .zip(foil)
         .map(|(a, b)| difference_core(k_vals, a, b, lub_of, ext_of))
         .collect();
-    let foil_mge = foil_mge_core(k_vals, q, foil, lub_of, ext_of);
+    let foil_mge = foil_mge_core(k_vals, pool, q, foil, lub_of, ext_of);
     ContrastAnswer {
         difference,
         foil_mge,
@@ -322,6 +321,7 @@ pub fn contrast_with<P: LubProvider + ?Sized>(
     };
     Ok(contrast_core(
         &k_vals,
+        pool,
         view,
         &question.foil,
         &mut |x| engine_lub(provider, kind, x),

@@ -24,8 +24,8 @@
 //!   deduplication happens in that same order — so the output is
 //!   bit-for-bit the sequential enumeration's (proven by tests).
 
-use crate::incremental::{engine_lub, LubKind};
-use crate::whynot::{exts_form_explanation, Explanation, WhyNotInstance};
+use crate::incremental::{engine_lub, outside_adom, LubKind};
+use crate::whynot::{Blockers, Explanation, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubProvider};
@@ -47,9 +47,11 @@ pub fn incremental_search_balanced(wn: &WhyNotInstance, kind: LubKind) -> Explan
 
 /// The shared growth engine: processes `(position, constant)` pairs either
 /// round-robin (`balanced`) or position-major like the paper, visiting
-/// positions in the supplied order. The caller supplies the pooled lub
-/// engine so reruns under permuted orders (the MGE enumeration) share one
-/// set of interned columns.
+/// positions in the supplied order. The constants are `adom` in the
+/// given order, then the tuple's constants outside it (as in
+/// `incremental_search_core`). The caller supplies the pooled lub engine
+/// so reruns under permuted orders (the MGE enumeration) share one set of
+/// interned columns.
 fn grow_with_order(
     wn: &WhyNotInstance,
     kind: LubKind,
@@ -72,42 +74,37 @@ fn grow_with_order(
         .iter()
         .map(|x| engine_lub(engine, kind, x))
         .collect();
-    let mut exts: Vec<Extension> = concepts
+    let exts: Vec<Extension> = concepts
         .iter()
         .map(|c| c.extension_in(&wn.instance, pool))
         .collect();
+    let mut guard = Blockers::new(wn.question(), pool, exts);
+    let outside = outside_adom(adom, &wn.tuple);
+    let sweep = || adom.iter().chain(outside.iter().copied());
 
-    let try_grow = |j: usize,
-                    b: &Value,
-                    support: &mut Vec<BTreeSet<Value>>,
-                    concepts: &mut Vec<LsConcept>,
-                    exts: &mut Vec<Extension>| {
-        if exts[j].contains(b) {
+    let mut try_grow = |j: usize, b: &Value| {
+        if guard.ext(j).contains(b) {
             return;
         }
         let mut grown = support[j].clone();
         grown.insert(b.clone());
         let candidate = engine_lub(engine, kind, &grown);
-        let candidate_ext = candidate.extension_in(&wn.instance, pool);
-        let saved = std::mem::replace(&mut exts[j], candidate_ext);
-        if exts_form_explanation(exts, wn) {
+        if guard.try_accept(j, candidate.extension_in(&wn.instance, pool)) {
             concepts[j] = candidate;
             support[j] = grown;
-        } else {
-            exts[j] = saved;
         }
     };
 
     if balanced {
-        for b in adom {
+        for b in sweep() {
             for &j in positions {
-                try_grow(j, b, &mut support, &mut concepts, &mut exts);
+                try_grow(j, b);
             }
         }
     } else {
         for &j in positions {
-            for b in adom {
-                try_grow(j, b, &mut support, &mut concepts, &mut exts);
+            for b in sweep() {
+                try_grow(j, b);
             }
         }
     }

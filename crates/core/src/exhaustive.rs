@@ -13,7 +13,7 @@
 use crate::context::EvalContext;
 use crate::ontology::FiniteOntology;
 use crate::whynot::{
-    exts_form_explanation_q, less_general, Explanation, QuestionRef, WhyNotInstance,
+    exts_form_explanation_q, less_general, Blockers, Explanation, QuestionRef, WhyNotInstance,
 };
 use whynot_concepts::{kernels, Extension, ExtensionTable, Probe};
 use whynot_relation::{ScratchArena, Tuple, Value};
@@ -374,20 +374,18 @@ pub(crate) fn check_mge_with<O: FiniteOntology>(
     if e.len() != q.arity() {
         return false;
     }
-    let mut exts: Vec<Extension> = e.concepts.iter().map(|c| ctx.extension(c)).collect();
+    let exts: Vec<Extension> = e.concepts.iter().map(|c| ctx.extension(c)).collect();
     if !exts_form_explanation_q(&exts, q) {
         return false;
     }
     let ontology = ctx.ontology();
+    let mut guard = Blockers::new(q, ctx.pool(), exts);
     for i in 0..e.len() {
         for c in all {
             if !ontology.subsumed(&e.concepts[i], c) || ontology.subsumed(c, &e.concepts[i]) {
                 continue; // not strictly more general
             }
-            let saved = std::mem::replace(&mut exts[i], ctx.extension(c));
-            let still = exts_form_explanation_q(&exts, q);
-            exts[i] = saved;
-            if still {
+            if guard.admits(i, &ctx.extension(c)) {
                 return false; // a strictly more general explanation exists
             }
         }

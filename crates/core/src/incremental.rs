@@ -3,10 +3,11 @@
 //! without materializing it.
 //!
 //! The algorithm maintains a *support set* `Xj` per position, starting at
-//! the singleton `{aj}`, and repeatedly tries to grow it by one active-
-//! domain constant; the candidate concept is always `lub_I(Xj)` — the
-//! least concept containing the support set — so accepting a growth step
-//! can only generalize. [`incremental_search`] works in selection-free
+//! the singleton `{aj}`, and repeatedly tries to grow it by one constant
+//! of `K = adom(I) ∪ ā` (Prop 5.1: `adom(I)` first, then the tuple's
+//! constants outside it); the candidate concept is always `lub_I(Xj)` —
+//! the least concept containing the support set — so accepting a growth
+//! step can only generalize. [`incremental_search`] works in selection-free
 //! `LS` (Theorem 5.3: PTIME); [`incremental_search_with_selections`] uses
 //! `lubσ` (Theorem 5.4: EXPTIME, PTIME for bounded schema arity).
 //!
@@ -17,13 +18,23 @@
 //! [`LubEngine`](whynot_concepts::LubEngine) sharing the search's
 //! `ConstPool`: the `(rel, attr)` column sets behind Lemmas 5.1/5.2 are
 //! interned once per run, not re-materialized per probed constant.
+//!
+//! Each probe's explanation test goes through the
+//! [`Blockers`](crate::whynot::Blockers) guard rather than a scan of
+//! `Ans`: position `j`'s blocker set `B_j` (the `t[j]` of answers every
+//! other position still admits) is built once in O(|Ans|·m), and a probe
+//! is one word-parallel disjointness test against the candidate's
+//! extension. Accepting a candidate dirties the other positions' sets;
+//! in the paper's position-major order that is one rebuild per position,
+//! so the test costs O(m·|Ans|·m) per search instead of
+//! O(m·|K|·|Ans|·m). Every probe still computes its lub and extension.
 
 use crate::derived::InstanceOntology;
-use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef, WhyNotInstance};
+use crate::whynot::{Blockers, Explanation, QuestionRef, WhyNotInstance};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use whynot_concepts::{Extension, LsConcept, LubEngine, LubProvider};
-use whynot_relation::Value;
+use whynot_relation::{ConstPool, Value};
 
 /// Which `lub` operator drives the search (i.e. which `LS` fragment the
 /// resulting explanation lives in).
@@ -84,6 +95,7 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
     let adom: Vec<Value> = inst.active_domain().into_iter().collect();
     incremental_search_core(
         &adom,
+        &pool,
         wn.question(),
         &mut |x| engine_lub(&engine, kind, x),
         &mut |c| c.extension_in(inst, &pool),
@@ -94,9 +106,18 @@ pub fn incremental_search_kind(wn: &WhyNotInstance, kind: LubKind) -> Explanatio
 /// lub / extension providers. The one-shot path passes plain closures; a
 /// [`WhyNotSession`](crate::WhyNotSession) passes memoizing ones, so
 /// repeated support sets and concepts across a question batch are
-/// computed once.
+/// computed once. `pool` is the pool `ext_of` interns into; the
+/// [`Blockers`] sets share it, so each probe is word-parallel.
+///
+/// Each position sweeps `adom(I)` and then the tuple's own constants
+/// outside it: Prop 5.1 restricts explanations to `K = adom(I) ∪ ā`, and
+/// a missing constant outside `adom(I)` can be absorbed at another
+/// position (e.g. `q(x,y) <- R(x), R(y)` over an empty `R` with tuple
+/// `(g1, g2)`: `{g1}` grows to `{g1, g2}`). Without that tail the result
+/// can fail [`check_mge_instance`].
 pub(crate) fn incremental_search_core(
     adom: &[Value],
+    pool: &Arc<ConstPool>,
     q: QuestionRef<'_>,
     lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
@@ -110,35 +131,37 @@ pub(crate) fn incremental_search_core(
         .collect();
     // Line 3: first candidate explanation — the lubs of the singletons.
     let mut concepts: Vec<LsConcept> = support.iter().map(&mut *lub_of).collect();
-    let mut exts: Vec<Extension> = concepts.iter().map(&mut *ext_of).collect();
-    debug_assert!(
-        exts_form_explanation_q(&exts, q),
-        "the nominal-based start must be an explanation"
-    );
+    let exts: Vec<Extension> = concepts.iter().map(&mut *ext_of).collect();
+    let mut guard = Blockers::new(q, pool, exts);
+    let outside = outside_adom(adom, q.tuple);
 
-    // Lines 4–11: per position, try to absorb each uncovered active-domain
-    // constant into the support set.
+    // Lines 4–11: per position, try to absorb each uncovered constant of
+    // K into the support set.
     for j in 0..m {
-        for b in adom {
-            if exts[j].contains(b) {
+        for b in adom.iter().chain(outside.iter().copied()) {
+            if guard.ext(j).contains(b) {
                 continue; // line 5's set difference, re-evaluated live
             }
             // Lines 6–8: the more general candidate at position j.
             let mut grown = support[j].clone();
             grown.insert(b.clone());
             let candidate = lub_of(&grown);
-            let candidate_ext = ext_of(&candidate);
             // Line 9: keep it only if the tuple stays an explanation.
-            let saved = std::mem::replace(&mut exts[j], candidate_ext);
-            if exts_form_explanation_q(&exts, q) {
+            if guard.try_accept(j, ext_of(&candidate)) {
                 concepts[j] = candidate;
                 support[j] = grown;
-            } else {
-                exts[j] = saved;
             }
         }
     }
     Explanation::new(concepts)
+}
+
+/// The tuple's distinct constants outside `adom`, ascending: the tail of
+/// every growth sweep, completing Prop 5.1's `K = adom(I) ∪ ā` (`adom`
+/// may be in any order — the enumeration sweeps permutations of it).
+pub(crate) fn outside_adom<'v>(adom: &[Value], tuple: &'v [Value]) -> Vec<&'v Value> {
+    let outside: BTreeSet<&Value> = tuple.iter().filter(|a| !adom.contains(a)).collect();
+    outside.into_iter().collect()
 }
 
 /// CHECK-MGE W.R.T. `OI` (Definition 5.7, Proposition 5.2): whether `e`
@@ -163,6 +186,7 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
     let k_consts = wn.restriction_constants();
     check_mge_instance_core(
         &k_consts,
+        &pool,
         wn.question(),
         e,
         &mut |x| engine_lub(&engine, kind, x),
@@ -176,15 +200,17 @@ pub fn check_mge_instance(wn: &WhyNotInstance, e: &Explanation<LsConcept>, kind:
 /// only decide maximality).
 pub(crate) fn check_mge_instance_core(
     k_consts: &BTreeSet<Value>,
+    pool: &Arc<ConstPool>,
     q: QuestionRef<'_>,
     e: &Explanation<LsConcept>,
     lub_of: &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
     ext_of: &mut dyn FnMut(&LsConcept) -> Extension,
 ) -> bool {
-    let mut exts: Vec<Extension> = e.concepts.iter().map(&mut *ext_of).collect();
+    let exts: Vec<Extension> = e.concepts.iter().map(&mut *ext_of).collect();
+    let mut guard = Blockers::new(q, pool, exts);
     for j in 0..e.len() {
         // The universal extension (⊤) cannot be generalized.
-        let Some(current) = exts[j].as_finite().map(|s| s.to_btree_set()) else {
+        let Some(current) = guard.ext(j).as_finite().map(|s| s.to_btree_set()) else {
             continue;
         };
         for b in k_consts {
@@ -194,12 +220,8 @@ pub(crate) fn check_mge_instance_core(
             let mut grown = current.clone();
             grown.insert(b.clone());
             let candidate = lub_of(&grown);
-            let candidate_ext = ext_of(&candidate);
             // Strictly more general by construction: ⊇ current ∪ {b}.
-            let saved = std::mem::replace(&mut exts[j], candidate_ext);
-            let still = exts_form_explanation_q(&exts, q);
-            exts[j] = saved;
-            if still {
+            if guard.admits(j, &ext_of(&candidate)) {
                 return false;
             }
         }

@@ -1490,6 +1490,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let bound = self.bind(q)?;
         Ok(incremental_search_core(
             self.adom(),
+            self.pool(),
             bound.view(),
             &mut |x| self.cached_lub(kind, x),
             &mut |c| self.ls_extension(c),
@@ -1517,6 +1518,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         k_consts.extend(bound.tuple.iter().cloned());
         Ok(check_mge_instance_core(
             &k_consts,
+            self.pool(),
             view,
             e,
             &mut |x| self.cached_lub(kind, x),
@@ -1560,8 +1562,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 Ok(b) => Prepared::Run(b),
             })
             .collect();
-        self.lub_fan_out(exec, kind, &prepared, |adom, b, lub_of, ext_of| {
-            incremental_search_core(adom, b.view(), lub_of, ext_of)
+        self.lub_fan_out(exec, kind, &prepared, |adom, pool, b, lub_of, ext_of| {
+            incremental_search_core(adom, pool, b.view(), lub_of, ext_of)
         })
     }
 
@@ -1569,8 +1571,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// ([`incremental_batch_with`](Self::incremental_batch_with) and
     /// [`contrast_batch_with`](Self::contrast_batch_with)). `prepared`
     /// holds the batch after the caller's sequential bind phase; `core`
-    /// answers one bound question from `adom(I)`, a lub provider and an
-    /// `LS`-extension provider.
+    /// answers one bound question from `adom(I)`, the session pool, a lub
+    /// provider and an `LS`-extension provider interning into that pool.
     ///
     /// 1. **Freeze** (sequential): the pooled [`LubEngine`] is forced and
     ///    frozen into a read-only column view — all `(rel, attr)` column
@@ -1598,6 +1600,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         prepared: &[Prepared<B, T>],
         core: impl Fn(
                 &[Value],
+                &Arc<ConstPool>,
                 &B,
                 &mut dyn FnMut(&BTreeSet<Value>) -> LsConcept,
                 &mut dyn FnMut(&LsConcept) -> Extension,
@@ -1653,6 +1656,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                     let (lubs, exts) = &mut *memos;
                     let answer = core(
                         adom,
+                        &pool,
                         b,
                         &mut |x| match warm_lubs.get(x).map(|e| &e.concept).or_else(|| lubs.get(x))
                         {
@@ -1790,6 +1794,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let k_vals = restriction_values(self.adom().iter().cloned(), &bound.missing);
         let answer = Arc::new(contrast_core(
             &k_vals,
+            self.pool(),
             bound.view(),
             &bound.foil,
             &mut |x| self.cached_lub(kind, x),
@@ -1838,9 +1843,16 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 }
             })
             .collect();
-        let outcomes = self.lub_fan_out(exec, kind, &prepared, |adom, b, lub_of, ext_of| {
+        let outcomes = self.lub_fan_out(exec, kind, &prepared, |adom, pool, b, lub_of, ext_of| {
             let k_vals = restriction_values(adom.iter().cloned(), &b.missing);
-            Arc::new(contrast_core(&k_vals, b.view(), &b.foil, lub_of, ext_of))
+            Arc::new(contrast_core(
+                &k_vals,
+                pool,
+                b.view(),
+                &b.foil,
+                lub_of,
+                ext_of,
+            ))
         });
         for ((q, p), result) in questions.iter().zip(&prepared).zip(&outcomes) {
             if let (Prepared::Run(_), Ok(answer)) = (p, result) {
@@ -2429,6 +2441,58 @@ mod tests {
         let fresh =
             WhyNotInstance::new(schema.clone(), inst.clone(), ghost.query, ghost.tuple).unwrap();
         assert_eq!(e, incremental_search_kind(&fresh, LubKind::SelectionFree));
+    }
+
+    #[test]
+    fn incremental_results_pass_check_mge_with_tuple_constants_outside_adom() {
+        // `q(x, y) <- R(x), R(y)` with a missing tuple whose constants lie
+        // (partly) outside adom(I): Algorithm 2 must also sweep them, or
+        // the result is an explanation that CHECK-MGE rejects.
+        let mut b = SchemaBuilder::new();
+        let r = b.relation("R", ["x"]);
+        let schema = b.finish().unwrap();
+        let o = ExplicitOntology::builder().build();
+        let query = Ucq::single(Cq::new(
+            [Term::Var(Var(0)), Term::Var(Var(1))],
+            [
+                Atom::new(r, [Term::Var(Var(0))]),
+                Atom::new(r, [Term::Var(Var(1))]),
+            ],
+            [],
+        ));
+        let mut with_c = Instance::new();
+        with_c.insert(r, vec![s("c")]);
+        let cases = [
+            (Instance::new(), [s("g1"), s("g2")]),
+            (with_c, [s("c"), s("g")]),
+        ];
+        for (inst, tuple) in cases {
+            let q = WhyNotQuestion::new(query.clone(), tuple.clone());
+            let wn = WhyNotInstance::new(schema.clone(), inst.clone(), query.clone(), tuple.into())
+                .unwrap();
+            for kind in [LubKind::SelectionFree, LubKind::WithSelections] {
+                let one_shot = incremental_search_kind(&wn, kind);
+                assert!(
+                    check_mge_instance(&wn, &one_shot, kind),
+                    "{kind:?}: {one_shot:?}"
+                );
+                let session = WhyNotSession::new(&o, &schema, &inst);
+                let via_session = session.incremental(&q, kind).unwrap();
+                assert!(check_mge_instance(&wn, &via_session, kind));
+                assert_eq!(session.check_mge_instance(&q, &via_session, kind), Ok(true));
+                for threads in [1, 2] {
+                    let session = WhyNotSession::new(&o, &schema, &inst);
+                    let exec = Executor::with_threads(threads);
+                    let batch =
+                        session.incremental_batch_with(&exec, std::slice::from_ref(&q), kind);
+                    let e = batch[0].as_ref().unwrap();
+                    assert!(
+                        check_mge_instance(&wn, e, kind),
+                        "{kind:?} at {threads}: {e:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use crate::ontology::Ontology;
 use std::collections::BTreeSet;
 use std::fmt;
-use whynot_concepts::Extension;
-use whynot_relation::{Instance, RelError, Schema, Tuple, Ucq, Value};
+use std::sync::Arc;
+use whynot_concepts::{Extension, ValueSet};
+use whynot_relation::{ConstPool, Instance, RelError, Schema, Tuple, Ucq, Value};
 
 /// A why-not instance `(S, I, q, Ans, a)` (Definition 5.1): the answer set
 /// `Ans = q(I)` is part of the input — the paper's problems never charge
@@ -224,6 +225,98 @@ pub fn exts_form_explanation_q(exts: &[Extension], q: QuestionRef<'_>) -> bool {
         .all(|t| t.iter().zip(exts).any(|(v, ext)| !ext.contains(v)))
 }
 
+/// The admission guard of every single-position growth loop: decides
+/// whether replacing one position's extension keeps a tuple of
+/// extensions an explanation, without rescanning `Ans` per probe.
+///
+/// For position `j` the *blocker set* is
+/// `B_j = { t[j] : t ∈ Ans, t[i] ∈ ext_i for all i ≠ j }` — the answers
+/// that only position `j` still excludes. While the current tuple is an
+/// explanation, a candidate extension keeps it one iff it contains `a_j`
+/// and is disjoint from `B_j` (so `⊤` passes iff `B_j = ∅`): the verdict
+/// equals [`exts_form_explanation_q`] with `exts[j]` replaced.
+///
+/// Cost: `B_j` is built lazily in O(|Ans|·m) membership probes and then
+/// serves every probe at `j` as one word-parallel AND over `pool` (the
+/// search or session pool the candidates are interned into; answer
+/// values outside it — e.g. from a head constant — land in the set's
+/// overflow, so the test stays exact, and a candidate over another pool
+/// takes the per-value path). Accepting a candidate at `j` changes
+/// `ext_j`, which every other `B_i` reads, so it marks those dirty; they
+/// are rebuilt on their next probe.
+pub(crate) struct Blockers<'q> {
+    q: QuestionRef<'q>,
+    pool: Arc<ConstPool>,
+    exts: Vec<Extension>,
+    /// `B_j` per position; `None` while dirty.
+    sets: Vec<Option<ValueSet>>,
+}
+
+impl<'q> Blockers<'q> {
+    /// A guard over `exts`, which must form an explanation for `q`, with
+    /// blocker sets interned into `pool`.
+    pub(crate) fn new(q: QuestionRef<'q>, pool: &Arc<ConstPool>, exts: Vec<Extension>) -> Self {
+        debug_assert!(
+            exts_form_explanation_q(&exts, q),
+            "a growth loop starts from an explanation"
+        );
+        let sets = exts.iter().map(|_| None).collect();
+        Blockers {
+            q,
+            pool: Arc::clone(pool),
+            exts,
+            sets,
+        }
+    }
+
+    /// The current extension at position `j`.
+    pub(crate) fn ext(&self, j: usize) -> &Extension {
+        &self.exts[j]
+    }
+
+    /// Whether replacing position `j`'s extension by `candidate` yields
+    /// an explanation.
+    pub(crate) fn admits(&mut self, j: usize, candidate: &Extension) -> bool {
+        if !candidate.contains(&self.q.tuple[j]) {
+            return false;
+        }
+        let (q, pool, exts) = (self.q, &self.pool, &self.exts);
+        let blockers = self.sets[j].get_or_insert_with(|| {
+            let mut set = ValueSet::empty_in(Arc::clone(pool));
+            for t in q.ans {
+                let others_admit = t
+                    .iter()
+                    .zip(exts)
+                    .enumerate()
+                    .all(|(i, (v, ext))| i == j || ext.contains(v));
+                if others_admit {
+                    set.insert_ref(&t[j]);
+                }
+            }
+            set
+        });
+        match candidate {
+            Extension::Universal => blockers.is_empty(),
+            Extension::Finite(c) => blockers.is_disjoint(c),
+        }
+    }
+
+    /// [`admits`](Self::admits), and on success installs `candidate` at
+    /// position `j` (dirtying every other position's blocker set).
+    pub(crate) fn try_accept(&mut self, j: usize, candidate: Extension) -> bool {
+        if !self.admits(j, &candidate) {
+            return false;
+        }
+        self.exts[j] = candidate;
+        for (i, set) in self.sets.iter_mut().enumerate() {
+            if i != j {
+                *set = None;
+            }
+        }
+        true
+    }
+}
+
 /// Definition 3.3: `e1 ≤O e2` (componentwise subsumption).
 pub fn less_general<O: Ontology>(
     ontology: &O,
@@ -321,6 +414,132 @@ mod tests {
             [],
         ));
         assert!(WhyNotInstance::new(schema, Instance::new(), q, vec![s("A")]).is_err());
+    }
+
+    /// A small deterministic generator for the property test's draws.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn pick(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+
+        /// `⊤` one draw in eight; otherwise a random subset of `universe`,
+        /// over `pool` or (one draw in four) over a private pool.
+        fn extension(&mut self, pool: &Arc<ConstPool>, universe: &[Value]) -> Extension {
+            if self.pick(8) == 0 {
+                return Extension::Universal;
+            }
+            let members: Vec<Value> = universe
+                .iter()
+                .filter(|_| self.pick(3) == 0)
+                .cloned()
+                .collect();
+            if self.pick(4) == 0 {
+                Extension::finite(members)
+            } else {
+                Extension::finite_in(Arc::clone(pool), members)
+            }
+        }
+    }
+
+    /// The full-scan verdict with `exts[j]` replaced by `candidate`.
+    fn full_scan(exts: &[Extension], j: usize, candidate: &Extension, q: QuestionRef<'_>) -> bool {
+        let mut replaced = exts.to_vec();
+        replaced[j] = candidate.clone();
+        exts_form_explanation_q(&replaced, q)
+    }
+
+    #[test]
+    fn blockers_agree_with_the_full_scan_on_random_scenarios() {
+        let (ghost, head) = (s("ghost"), s("head"));
+        for seed in 0..300u64 {
+            let sc = whynot_scenarios::generators::random_scenario(seed);
+            let inst = sc.instance();
+            let pool = inst.const_pool();
+            let mut ans = sc.query.eval(&inst);
+            let adom: Vec<Value> = inst.active_domain().into_iter().collect();
+            // An answer carrying a head constant outside the pool, as
+            // `q(x, "head") <- …` would produce.
+            ans.insert(vec![adom[0].clone(), head.clone()]);
+            let mut universe = adom.clone();
+            universe.extend([ghost.clone(), head.clone()]);
+            let mut rng = Lcg(seed);
+            let tuple = vec![
+                universe[rng.pick(universe.len())].clone(),
+                universe[rng.pick(universe.len())].clone(),
+            ];
+            if ans.contains(&tuple) {
+                continue;
+            }
+            let q = QuestionRef {
+                ans: &ans,
+                tuple: &tuple,
+            };
+
+            // Random explanations (each position forced to admit its
+            // a_i) and arbitrary candidates, several probes per guard.
+            for _ in 0..12 {
+                let exts: Vec<Extension> = tuple
+                    .iter()
+                    .map(|a| match rng.extension(&pool, &universe) {
+                        Extension::Finite(mut set) => {
+                            set.insert(a.clone());
+                            Extension::Finite(set)
+                        }
+                        top => top,
+                    })
+                    .collect();
+                if !exts_form_explanation_q(&exts, q) {
+                    continue;
+                }
+                let mut guard = Blockers::new(q, &pool, exts.clone());
+                for _ in 0..6 {
+                    let j = rng.pick(2);
+                    let candidate = rng.extension(&pool, &universe);
+                    assert_eq!(
+                        guard.admits(j, &candidate),
+                        full_scan(&exts, j, &candidate, q),
+                        "seed {seed}: {exts:?}[{j}] := {candidate:?}"
+                    );
+                }
+            }
+
+            // Balanced growth from the nominals: every probe re-checked
+            // after earlier accepts dirtied the other positions.
+            let mut exts: Vec<Extension> = tuple
+                .iter()
+                .map(|a| Extension::finite_in(Arc::clone(&pool), [a.clone()]))
+                .collect();
+            let mut guard = Blockers::new(q, &pool, exts.clone());
+            for b in &universe {
+                for j in 0..2 {
+                    let candidate = match (&exts[j], rng.pick(10)) {
+                        (_, 0) => Extension::Universal,
+                        (Extension::Universal, _) => continue,
+                        (Extension::Finite(set), _) => {
+                            let mut grown = set.clone();
+                            grown.insert(b.clone());
+                            Extension::Finite(grown)
+                        }
+                    };
+                    let expect = full_scan(&exts, j, &candidate, q);
+                    assert_eq!(
+                        guard.try_accept(j, candidate.clone()),
+                        expect,
+                        "seed {seed}: {exts:?}[{j}] := {candidate:?}"
+                    );
+                    if expect {
+                        exts[j] = candidate;
+                    }
+                    assert_eq!(guard.ext(j), &exts[j]);
+                }
+            }
+        }
     }
 
     #[test]
