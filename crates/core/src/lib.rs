@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod cache;
 mod context;
 mod contrast;
 mod derived;

@@ -12,12 +12,21 @@
 //! |---|---|---|
 //! | concept extensions | concept (via [`EvalContext`]) | every algorithm; ≤ 1 `ext(c, I)` eval per concept **per session**, not per question |
 //! | the extension table + [`ConstPool`] | — (built once) | Algorithm 1 candidates, `>card` lists, word-parallel membership |
-//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once |
+//! | answer sets `q(I)` | the query `q` | repeated queries with different missing tuples evaluate `q` once; each cached set gets a session-unique id |
 //! | candidate concept indices | the position constant `aᵢ` | Algorithm 1 / `>card` per-position candidate lists |
-//! | answer probes + conflict bitsets | `(query, position[, concept])` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
+//! | answer probes + conflict bitsets | `(answer-set id, position[, concept])` | Algorithm 1's per-candidate conflict masks — question-independent, so the per-question build is a cache probe and a word copy per candidate |
 //! | `lub` / `lubσ` results | `(`[`LubKind`]`, support set)` | Algorithm 2's growth probes and MGE checks w.r.t. `OI` |
 //! | the pooled [`LubEngine`] columns | `(rel, attr)` (built once) | every lub-cache miss — fresh support sets probe interned column bitsets, never re-materialized columns |
 //! | `LS`-concept extensions | the concept | Algorithm 2's per-step explanation checks |
+//! | contrastive answers | `(query, missing, foil, `[`LubKind`]`)` | repeated contrast questions |
+//!
+//! Every budgeted cache (answers, candidates, probes, conflicts, lubs,
+//! `LS` extensions, contrast) is one instance of the crate's `Lru` type,
+//! capped by the session's [`CacheBudget`]. Probe and conflict entries
+//! are keyed by the answer set's id, not its address: evicting or
+//! invalidating an answer set purges them with it, and a later answer
+//! set never reuses the id. The concept-extension memo and the two
+//! built-once structures are not budgeted.
 //!
 //! Validation happens at the service boundary: a malformed question
 //! (wrong arity, unknown relation, nullary tuple, tuple already answered)
@@ -67,6 +76,7 @@
 //! # Ok::<(), whynot_core::SessionError>(())
 //! ```
 
+use crate::cache::{Lru, Slot};
 use crate::context::EvalContext;
 use crate::contrast::{
     contrast_core, restriction_values, validate_contrast, ContrastAnswer, ContrastQuestion,
@@ -78,12 +88,6 @@ use crate::variations;
 use crate::whynot::{exts_form_explanation_q, Explanation, QuestionRef};
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
-// lint: allow(deterministic-iteration) — session caches are probed by key;
-// the one iteration (delta invalidation) mutates caches, never results.
-use std::collections::HashMap;
-// lint: allow(deterministic-iteration) — scratch set for dead cache keys
-// during delta invalidation; membership tests only.
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use whynot_concepts::{kernels, Extension, ExtensionTable, LsConcept, LubEngine, Probe};
@@ -177,16 +181,7 @@ struct LubEntry {
     concept: LsConcept,
     pooled: bool,
     epoch: usize,
-    /// LRU recency stamp (see [`CacheBudget`]); assigned at insert,
-    /// refreshed on hits only while the lub budget is finite, so the
-    /// unlimited default never pays `Arc::make_mut` on the hit path.
-    stamp: u64,
 }
-
-/// The session's memoized `lub` / `lubσ` results for one [`LubKind`].
-/// Behind an `Arc` so a parallel batch snapshots the whole map in O(1);
-/// see the field docs on [`WhyNotSession::lubs`].
-type LubCache = Arc<BTreeMap<BTreeSet<Value>, LubEntry>>;
 
 /// A question validated and bound against the session's instance: the
 /// answer set is resolved (possibly from cache) and the tuple is known to
@@ -194,6 +189,10 @@ type LubCache = Arc<BTreeMap<BTreeSet<Value>, LubEntry>>;
 /// batch of bound questions can fan out across workers.
 struct BoundQuestion {
     ans: Arc<BTreeSet<Tuple>>,
+    /// The answer set's id in the answers cache, which keys its probe and
+    /// conflict entries; `None` when the set is not cached (budget 0), so
+    /// those caches are bypassed.
+    ans_id: Option<u64>,
     tuple: Tuple,
 }
 
@@ -214,6 +213,8 @@ struct BoundContrast {
     /// The full answer set — the ontology-difference path indexes the
     /// foil's conflict bit against it.
     ans: Arc<BTreeSet<Tuple>>,
+    /// Its id in the answers cache (see [`BoundQuestion::ans_id`]).
+    ans_id: Option<u64>,
     /// `Ans \ {foil}`: the answers the foil-aligned MGE must avoid.
     residual: Arc<BTreeSet<Tuple>>,
     missing: Tuple,
@@ -418,36 +419,24 @@ pub struct WorkerStats {
     pub lubs_computed: usize,
 }
 
-/// Per-cache entry budgets for a session's memo caches — the knob a
-/// long-running service (see `whynot-server`) turns to bound memory.
+/// The entry cap on each of a session's budgeted memo caches — the
+/// knob a long-running service (see `whynot-server`) turns to bound
+/// memory.
 ///
-/// The default is [`unlimited`](CacheBudget::unlimited): every cache is
-/// append-only for the session's lifetime, exactly the pre-budget
-/// behaviour. A finite budget caps the entry count; inserting past the
-/// cap evicts the least-recently-used entry first (recency stamps are
-/// unique, so the victim is deterministic). A budget of 0 disables the
-/// cache entirely — every probe recomputes, answers stay correct, the
-/// session just loses its reuse advantage.
+/// The cap applies to every budgeted cache alike: answer sets,
+/// candidate lists, answer probes, conflict bitsets, lubs (per
+/// [`LubKind`]), `LS`-concept extensions and contrastive answers. The
+/// default is [`unlimited`](CacheBudget::unlimited): every cache is
+/// append-only for the session's lifetime. A finite cap bounds the entry
+/// count; inserting past it evicts the least-recently-used entries
+/// first (recency stamps are unique, so the victim is deterministic).
+/// Evicting an answer set also evicts the probe and conflict entries
+/// keyed by its id. A cap of 0 disables caching entirely — every probe
+/// recomputes, answers stay correct, the session just loses its reuse
+/// advantage.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheBudget {
-    /// Max cached answer sets (`cached_queries` in [`SessionStats`]).
-    /// Evicting one cascades: the probe and conflict entries keyed by
-    /// its pointer are purged with it, so a recycled allocation can
-    /// never resurrect a dead entry.
-    pub answers: usize,
-    /// Max per-constant candidate index lists.
-    pub candidates: usize,
-    /// Max interned answer-probe vectors.
-    pub probes: usize,
-    /// Max Algorithm 1 conflict bitsets.
-    pub conflicts: usize,
-    /// Max memoized lubs, per [`LubKind`].
-    pub lubs: usize,
-    /// Max memoized `LS`-concept extensions.
-    pub ls_extensions: usize,
-    /// Max cached contrastive answers (keyed `(query, missing, foil,
-    /// kind)`).
-    pub contrast: usize,
+    entries: usize,
 }
 
 impl CacheBudget {
@@ -458,15 +447,13 @@ impl CacheBudget {
 
     /// The same entry cap on every cache.
     pub const fn uniform(n: usize) -> Self {
-        CacheBudget {
-            answers: n,
-            candidates: n,
-            probes: n,
-            conflicts: n,
-            lubs: n,
-            ls_extensions: n,
-            contrast: n,
-        }
+        CacheBudget { entries: n }
+    }
+
+    /// The entry cap of each budgeted cache (`usize::MAX` when
+    /// unlimited).
+    pub const fn entries(&self) -> usize {
+        self.entries
     }
 }
 
@@ -512,15 +499,27 @@ impl EvictionStats {
     }
 }
 
-/// A batched why-not service over one pinned `(ontology, instance)` pair.
-///
 /// An interned conflict bitset and its popcount, shared out of the
 /// session's conflict cache.
 type ConflictBits = Arc<(Vec<u64>, usize)>;
 
-/// A cache entry carrying its LRU recency stamp.
-type Stamped<T> = (T, Cell<u64>);
+/// A cached answer set with its session-unique id.
+type IdAnswers = (u64, Arc<BTreeSet<Tuple>>);
 
+/// One position's interned answer probes, shared out of the probe cache.
+type Probes = Arc<Vec<Probe>>;
+
+/// One batch worker's lub and `LS`-extension memos.
+type Memos = (
+    BTreeMap<BTreeSet<Value>, LsConcept>,
+    BTreeMap<LsConcept, Extension>,
+);
+
+/// The contrast cache key: `(query, missing, foil, kind slot)`.
+type ContrastKey = (Ucq, Tuple, Tuple, usize);
+
+/// A batched why-not service over one pinned `(ontology, instance)` pair.
+///
 /// See the [module docs](self) for the cache inventory and an example.
 /// Methods that run Algorithm 1 / CHECK-MGE / the `>card` searches
 /// require [`FiniteOntology`]; Algorithm 2 and its MGE check (which work
@@ -535,76 +534,50 @@ pub struct WhyNotSession<'a, O: Ontology> {
     /// ontologies only), built on first use.
     finite: OnceCell<(Vec<O::Concept>, ExtensionTable)>,
     /// Candidate concept indices keyed by position constant (`Arc` so a
-    /// batch can snapshot the lists and fan them out across workers),
-    /// each entry carrying its LRU recency stamp.
-    candidates: RefCell<BTreeMap<Value, Stamped<Arc<Vec<usize>>>>>,
-    /// Answer sets keyed by query, each entry carrying its LRU stamp.
-    // lint: allow(deterministic-iteration) — probed by query; the answers
-    // themselves live in the ordered `BTreeSet` values.
-    answers: RefCell<HashMap<Ucq, Stamped<Arc<BTreeSet<Tuple>>>>>,
-    /// Interned answer probes keyed by `(answer set, position)`: the
+    /// batch can share the lists).
+    candidates: RefCell<Lru<Value, Arc<Vec<usize>>>>,
+    /// Answer sets keyed by query, each with its session-unique id.
+    answers: RefCell<Lru<Ucq, IdAnswers>>,
+    /// The id the next cached answer set gets.
+    next_answer_id: Cell<u64>,
+    /// Interned answer probes keyed by `(answer-set id, position)`: the
     /// `pool.id_of` binary searches for one position's answer column are
-    /// paid once per query, not once per question. The answer set is
-    /// identified by the pointer of its `Arc` in [`answers`] — stable
-    /// and unique while it stays cached; evicting an answer set purges
-    /// its probe entries (see [`CacheBudget::answers`]), and with the
-    /// default unlimited budget the cache is append-only as before.
-    #[allow(clippy::type_complexity)]
-    // lint: allow(deterministic-iteration) — pointer-keyed probe cache;
-    // keyed lookups only, never iterated into results.
-    probes: RefCell<HashMap<(usize, usize), Stamped<Arc<Vec<Probe>>>>>,
+    /// paid once per query, not once per question.
+    probes: RefCell<Lru<(u64, usize), Probes>>,
     /// Algorithm 1 conflict bitsets (with their popcounts) keyed by
-    /// `(answer set, position, concept index)`. A candidate's conflict
+    /// `(answer-set id, position, concept index)`. A candidate's conflict
     /// bits depend on the query's answers and the concept — *not* on
     /// the missing tuple — so questions sharing a query reuse them
     /// wholesale; the per-question work drops to a cache probe and a
     /// word copy per surviving candidate.
-    // lint: allow(deterministic-iteration) — pointer-keyed conflict cache;
-    // keyed lookups only, never iterated into results.
-    conflicts: RefCell<HashMap<(usize, usize, usize), Stamped<ConflictBits>>>,
+    conflicts: RefCell<Lru<(u64, usize, usize), ConflictBits>>,
     /// The pooled lub engine behind the lub cache: one interned column
     /// set per `(rel, attr)` for the whole session, built on the first
     /// lub miss.
     lub_engine: OnceCell<LubEngine<'a>>,
-    /// `lub` / `lubσ` results keyed by support set, one map per
-    /// [`LubKind`] (so cache hits probe by reference, without cloning the
-    /// support set — Algorithm 2's growth loop is lub-dominated). The
-    /// maps live behind `Arc` so a parallel batch snapshots them in O(1)
-    /// (a pointer clone); sequential inserts go through `Arc::make_mut`,
-    /// which mutates in place while no snapshot is alive.
-    lubs: [RefCell<LubCache>; 2],
+    /// `lub` / `lubσ` results keyed by support set, one cache per
+    /// [`LubKind`] (so hits probe by reference, without cloning the
+    /// support set — Algorithm 2's growth loop is lub-dominated). A
+    /// parallel batch snapshots them in O(1).
+    lubs: [RefCell<Lru<BTreeSet<Value>, LubEntry>>; 2],
     /// The effective change set of every accepted delta, in order: the
     /// journal lazy lub repair replays. An entry with `epoch == len` is
     /// current; a stale one re-derives exactly the relations in
     /// `lub_log[epoch..]` on its next access.
     lub_log: RefCell<Vec<BTreeSet<RelId>>>,
     /// `LS`-concept extensions (Algorithm 2's candidates) keyed by
-    /// concept, interned into the session pool (`Arc` for the same O(1)
-    /// batch-snapshot reason).
-    ls_exts: RefCell<Arc<BTreeMap<LsConcept, Extension>>>,
-    /// Recency stamps for [`ls_exts`](Self::ls_exts), maintained only
-    /// while that budget is finite (the extension values are snapshotted
-    /// by parallel batches, so the stamps live beside the cache rather
-    /// than inside it — the unlimited default pays nothing).
-    ls_lru: RefCell<BTreeMap<LsConcept, u64>>,
-    /// Contrastive answers keyed by `(query, missing, foil, kind slot)`,
-    /// each entry carrying its LRU stamp. Dropped wholesale by any
-    /// effective delta (see [`DeltaStats::contrast_dropped`]): the
-    /// stored separators and foil-aligned MGE are certified *maximal*
-    /// against the full lub column set, which any relation change can
-    /// extend.
-    #[allow(clippy::type_complexity)]
-    // lint: allow(deterministic-iteration) — keyed lookups only, never
-    // iterated into results.
-    contrast: RefCell<HashMap<(Ucq, Tuple, Tuple, usize), Stamped<Arc<ContrastAnswer>>>>,
-    /// Entry budgets for every cache above; `CacheBudget::unlimited()`
-    /// (the default) preserves the historical append-only behaviour.
+    /// concept, interned into the session pool.
+    ls_exts: RefCell<Lru<LsConcept, Extension>>,
+    /// Contrastive answers. Dropped wholesale by any effective delta (see
+    /// [`DeltaStats::contrast_dropped`]): the stored separators and
+    /// foil-aligned MGE are certified *maximal* against the full lub
+    /// column set, which any relation change can extend.
+    contrast: RefCell<Lru<ContrastKey, Arc<ContrastAnswer>>>,
+    /// The entry cap of every cache above.
     budget: CacheBudget,
     /// The LRU clock: bumped on every cache touch, so recency stamps are
     /// unique and eviction picks a deterministic victim.
     clock: Cell<u64>,
-    /// Entries evicted per cache under the budget.
-    evicted: Cell<EvictionStats>,
     questions: Cell<usize>,
     /// Delta accounting: calls accepted, entries invalidated, entries
     /// retained (summed over calls; see [`DeltaStats`]).
@@ -628,24 +601,6 @@ fn kind_slot(kind: LubKind) -> usize {
     }
 }
 
-/// The least-recently-used key of a stamped hash cache. Stamps are
-/// unique (the session clock bumps on every touch), so the minimum — and
-/// therefore the victim — is deterministic despite the map's order.
-// lint: allow(deterministic-iteration) — min of unique stamps: the
-// victim is independent of iteration order.
-fn lru_key<K: Clone + Eq + std::hash::Hash, V>(map: &HashMap<K, (V, Cell<u64>)>) -> Option<K> {
-    map.iter()
-        .min_by_key(|(_, (_, stamp))| stamp.get())
-        .map(|(k, _)| k.clone())
-}
-
-/// The least-recently-used key of a stamped ordered cache.
-fn lru_key_btree<K: Clone + Ord, V>(map: &BTreeMap<K, (V, Cell<u64>)>) -> Option<K> {
-    map.iter()
-        .min_by_key(|(_, (_, stamp))| stamp.get())
-        .map(|(k, _)| k.clone())
-}
-
 impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// Opens a session over `(ontology, instance)`. Construction interns
     /// `adom(I)` into the shared pool (one instance sweep); everything
@@ -661,33 +616,24 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// storage), so its borrow ends with this call; only the ontology
     /// and schema must outlive the session.
     pub fn new(ontology: &'a O, schema: &'a Schema, instance: &Instance) -> Self {
+        let cap = CacheBudget::unlimited().entries();
         WhyNotSession {
             schema,
             ctx: EvalContext::new(ontology, instance),
             adom: OnceCell::new(),
             finite: OnceCell::new(),
-            candidates: RefCell::new(BTreeMap::new()),
-            // lint: allow(deterministic-iteration) — see the field docs:
-            // all three hash caches are keyed lookups, never iterated
-            // into results.
-            answers: RefCell::new(HashMap::new()),
-            // lint: allow(deterministic-iteration) — as above.
-            probes: RefCell::new(HashMap::new()),
-            // lint: allow(deterministic-iteration) — as above.
-            conflicts: RefCell::new(HashMap::new()),
+            candidates: RefCell::new(Lru::new(cap)),
+            answers: RefCell::new(Lru::new(cap)),
+            next_answer_id: Cell::new(0),
+            probes: RefCell::new(Lru::new(cap)),
+            conflicts: RefCell::new(Lru::new(cap)),
             lub_engine: OnceCell::new(),
-            lubs: [
-                RefCell::new(Arc::new(BTreeMap::new())),
-                RefCell::new(Arc::new(BTreeMap::new())),
-            ],
+            lubs: [RefCell::new(Lru::new(cap)), RefCell::new(Lru::new(cap))],
             lub_log: RefCell::new(Vec::new()),
-            ls_exts: RefCell::new(Arc::new(BTreeMap::new())),
-            ls_lru: RefCell::new(BTreeMap::new()),
-            // lint: allow(deterministic-iteration) — as above.
-            contrast: RefCell::new(HashMap::new()),
+            ls_exts: RefCell::new(Lru::new(cap)),
+            contrast: RefCell::new(Lru::new(cap)),
             budget: CacheBudget::unlimited(),
             clock: Cell::new(0),
-            evicted: Cell::new(EvictionStats::default()),
             questions: Cell::new(0),
             deltas: Cell::new(0),
             delta_invalidated: Cell::new(0),
@@ -709,24 +655,24 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         self.executor = Some(exec);
     }
 
-    /// Sets the per-cache entry budgets and trims every cache down to
-    /// them immediately, least-recently-used entries first (trimmed
-    /// entries are counted in [`evictions`](WhyNotSession::evictions)).
-    /// The default is [`CacheBudget::unlimited`]; a budget of 0 disables
-    /// a cache without affecting answers.
+    /// Sets the cache budget and trims every cache down to it at once,
+    /// least-recently-used entries first (trimmed entries are counted in
+    /// [`evictions`](WhyNotSession::evictions)). The default is
+    /// [`CacheBudget::unlimited`]; a budget of 0 disables caching without
+    /// affecting answers.
     pub fn set_cache_budget(&mut self, budget: CacheBudget) {
         self.budget = budget;
-        if budget.ls_extensions == usize::MAX {
-            self.ls_lru.get_mut().clear();
-        } else {
-            // Seed recency for entries cached before the budget existed:
-            // ascending stamps in the cache's own (deterministic) order.
-            let keys: Vec<LsConcept> = self.ls_exts.get_mut().keys().cloned().collect();
-            let seeded: BTreeMap<LsConcept, u64> =
-                keys.into_iter().map(|c| (c, self.clock_tick())).collect();
-            *self.ls_lru.get_mut() = seeded;
+        let cap = budget.entries();
+        let dead = self.answers.get_mut().set_cap(cap);
+        self.evict_answer_entries(&dead);
+        self.candidates.get_mut().set_cap(cap);
+        self.probes.get_mut().set_cap(cap);
+        self.conflicts.get_mut().set_cap(cap);
+        for lubs in &mut self.lubs {
+            lubs.get_mut().set_cap(cap);
         }
-        self.trim_to_budget();
+        self.contrast.get_mut().set_cap(cap);
+        self.ls_exts.get_mut().set_cap(cap);
     }
 
     /// The session's current [`CacheBudget`].
@@ -737,7 +683,15 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// Per-cache counts of LRU evictions under the budget (all zero for
     /// the unlimited default).
     pub fn evictions(&self) -> EvictionStats {
-        self.evicted.get()
+        EvictionStats {
+            answers: self.answers.borrow().evicted(),
+            candidates: self.candidates.borrow().evicted(),
+            probes: self.probes.borrow().evicted(),
+            conflicts: self.conflicts.borrow().evicted(),
+            lubs: self.lubs.iter().map(|l| l.borrow().evicted()).sum(),
+            ls_extensions: self.ls_exts.borrow().evicted(),
+            contrast: self.contrast.borrow().evicted(),
+        }
     }
 
     /// The next unique recency stamp.
@@ -747,139 +701,18 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         t
     }
 
-    fn count_evicted(&self, f: impl FnOnce(&mut EvictionStats)) {
-        let mut e = self.evicted.get();
-        f(&mut e);
-        self.evicted.set(e);
-    }
-
-    /// Whether a bound question's answer set is still in the answers
-    /// cache. The probe and conflict caches key on the answer `Arc`'s
-    /// address, which is only meaningful while that `Arc` is resident —
-    /// a non-resident set (budget 0, or evicted mid-batch) could collide
-    /// with a recycled allocation, so its entries are neither read nor
-    /// written. Unlimited budgets keep the append-only invariant and
-    /// skip the scan.
-    fn ans_resident(&self, ans: &Arc<BTreeSet<Tuple>>) -> bool {
-        if self.budget.answers == usize::MAX {
-            return true;
-        }
-        self.answers
-            .borrow()
-            .values()
-            .any(|(cached, _)| Arc::ptr_eq(cached, ans))
-    }
-
-    /// Evicts the LRU answer set and cascades: probe and conflict
-    /// entries keyed by its pointer are purged with it, so a later
-    /// allocation reusing the address can never hit stale state.
-    // lint: allow(deterministic-iteration) — the victim comes from
-    // `lru_key` (unique stamps); the cascade purge is key-filtered.
-    fn evict_one_answer(&self, cache: &mut HashMap<Ucq, (Arc<BTreeSet<Tuple>>, Cell<u64>)>) {
-        let Some(key) = lru_key(cache) else { return };
-        let Some((ans, _)) = cache.remove(&key) else {
+    /// Evicts the probe and conflict entries of evicted answer sets.
+    fn evict_answer_entries(&self, dead: &[(Ucq, IdAnswers)]) {
+        if dead.is_empty() {
             return;
-        };
-        let ptr = Arc::as_ptr(&ans) as usize;
-        let mut probes = self.probes.borrow_mut();
-        let probes_before = probes.len();
-        probes.retain(|(p, _), _| *p != ptr);
-        let probes_purged = probes_before - probes.len();
-        drop(probes);
-        let mut conflicts = self.conflicts.borrow_mut();
-        let conflicts_before = conflicts.len();
-        conflicts.retain(|(p, _, _), _| *p != ptr);
-        let conflicts_purged = conflicts_before - conflicts.len();
-        drop(conflicts);
-        self.count_evicted(|e| {
-            e.answers += 1;
-            e.probes += probes_purged;
-            e.conflicts += conflicts_purged;
-        });
-    }
-
-    /// Trims every cache down to the current budget, LRU-first.
-    fn trim_to_budget(&self) {
-        let budget = self.budget;
-        loop {
-            let mut cache = self.answers.borrow_mut();
-            if cache.len() <= budget.answers {
-                break;
-            }
-            self.evict_one_answer(&mut cache);
         }
-        {
-            let mut cache = self.candidates.borrow_mut();
-            while cache.len() > budget.candidates {
-                let Some(key) = lru_key_btree(&cache) else {
-                    break;
-                };
-                cache.remove(&key);
-                self.count_evicted(|e| e.candidates += 1);
-            }
-        }
-        {
-            let mut cache = self.probes.borrow_mut();
-            while cache.len() > budget.probes {
-                let Some(key) = lru_key(&cache) else { break };
-                cache.remove(&key);
-                self.count_evicted(|e| e.probes += 1);
-            }
-        }
-        {
-            let mut cache = self.conflicts.borrow_mut();
-            while cache.len() > budget.conflicts {
-                let Some(key) = lru_key(&cache) else { break };
-                cache.remove(&key);
-                self.count_evicted(|e| e.conflicts += 1);
-            }
-        }
-        for slot in &self.lubs {
-            let mut slot = slot.borrow_mut();
-            let cache = Arc::make_mut(&mut *slot);
-            while cache.len() > budget.lubs {
-                let Some(key) = cache
-                    .iter()
-                    .min_by_key(|(_, e)| e.stamp)
-                    .map(|(k, _)| k.clone())
-                else {
-                    break;
-                };
-                cache.remove(&key);
-                self.count_evicted(|e| e.lubs += 1);
-            }
-        }
-        {
-            let mut cache = self.contrast.borrow_mut();
-            while cache.len() > budget.contrast {
-                let Some(key) = lru_key(&cache) else { break };
-                cache.remove(&key);
-                self.count_evicted(|e| e.contrast += 1);
-            }
-        }
-        self.trim_ls_extensions();
-    }
-
-    /// Trims the `LS`-extension cache to its budget, LRU-first by the
-    /// side recency map (entries the map does not know count as oldest,
-    /// in the cache's own deterministic order).
-    fn trim_ls_extensions(&self) {
-        let budget = self.budget.ls_extensions;
-        let mut slot = self.ls_exts.borrow_mut();
-        let cache = Arc::make_mut(&mut *slot);
-        let mut lru = self.ls_lru.borrow_mut();
-        while cache.len() > budget {
-            let Some(key) = cache
-                .iter()
-                .min_by_key(|(c, _)| lru.get(*c).copied().unwrap_or(0))
-                .map(|(c, _)| c.clone())
-            else {
-                break;
-            };
-            cache.remove(&key);
-            lru.remove(&key);
-            self.count_evicted(|e| e.ls_extensions += 1);
-        }
+        let ids: BTreeSet<u64> = dead.iter().map(|(_, (id, _))| *id).collect();
+        self.probes
+            .borrow_mut()
+            .evict_if(|(id, _)| ids.contains(id));
+        self.conflicts
+            .borrow_mut()
+            .evict_if(|(id, _, _)| ids.contains(id));
     }
 
     /// The pinned executor, if [`set_executor`](WhyNotSession::set_executor)
@@ -966,7 +799,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             cached_lubs: self.lubs.iter().map(|m| m.borrow().len()).sum(),
             cached_ls_extensions: self.ls_exts.borrow().len(),
             cached_contrasts: self.contrast.borrow().len(),
-            cache_evictions: self.evicted.get().total(),
+            cache_evictions: self.evictions().total(),
             lub_column_builds: self.lub_engine.get().map_or(0, LubEngine::column_builds),
             batches: self.batches.get(),
             batch_questions: self.batch_questions.get(),
@@ -1096,56 +929,37 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
         // 4. Candidate lists: membership of *any* dirty concept can
         // reshuffle every per-constant list.
-        let candidates = self.candidates.get_mut();
-        if any_concept_dirty {
-            stats.candidates_dropped = candidates.len();
-            candidates.clear();
-        } else {
-            stats.candidates_retained = candidates.len();
-        }
+        (stats.candidates_dropped, stats.candidates_retained) =
+            self.candidates.get_mut().retain(|_, _| !any_concept_dirty);
 
         // 5. Answer sets: drop exactly the queries that read a changed
-        // relation, remembering the dying `Arc` addresses so the
-        // pointer-keyed probe and conflict caches can be purged *before*
-        // a future answer set could reuse a freed address.
-        let answers = self.answers.get_mut();
-        let before = answers.len();
-        // lint: allow(deterministic-iteration) — membership-only scratch;
-        // retained entries keep the cache's own order.
-        let mut dead_ptrs = HashSet::<usize>::new();
-        answers.retain(|q, (ans, _)| {
-            if q.rels().iter().any(|r| changed.contains(r)) {
-                dead_ptrs.insert(Arc::as_ptr(ans) as usize);
-                false
-            } else {
-                true
-            }
-        });
-        stats.answers_dropped = before - answers.len();
-        stats.answers_retained = answers.len();
+        // relation, remembering the dying ids so their probe and conflict
+        // entries drop with them.
+        let mut dead_ids = BTreeSet::<u64>::new();
+        (stats.answers_dropped, stats.answers_retained) =
+            self.answers.get_mut().retain(|q, (id, _)| {
+                let reads_changed = q.rels().iter().any(|r| changed.contains(r));
+                if reads_changed {
+                    dead_ids.insert(*id);
+                }
+                !reads_changed
+            });
 
         // 6. Answer probes: invalid wholesale on a generation bump (ids
         // were re-numbered), otherwise they die with their answer set.
-        let probes = self.probes.get_mut();
-        let before = probes.len();
-        if map.is_some() {
-            probes.clear();
-        } else {
-            probes.retain(|(ptr, _), _| !dead_ptrs.contains(ptr));
-        }
-        stats.probes_dropped = before - probes.len();
-        stats.probes_retained = probes.len();
+        let bumped = map.is_some();
+        (stats.probes_dropped, stats.probes_retained) = self
+            .probes
+            .get_mut()
+            .retain(|(id, _), _| !bumped && !dead_ids.contains(id));
 
         // 7. Conflict bitsets are value-semantic (answer index →
         // membership): they survive generation bumps, and die only with
         // their answer set or their concept.
-        let conflicts = self.conflicts.get_mut();
-        let before = conflicts.len();
-        conflicts.retain(|(ptr, _, k), _| {
-            !dead_ptrs.contains(ptr) && !dirty.get(*k).copied().unwrap_or(true)
-        });
-        stats.conflicts_dropped = before - conflicts.len();
-        stats.conflicts_retained = conflicts.len();
+        (stats.conflicts_dropped, stats.conflicts_retained) =
+            self.conflicts.get_mut().retain(|(id, _, k), _| {
+                !dead_ids.contains(id) && !dirty.get(*k).copied().unwrap_or(true)
+            });
 
         // 8. The lub engine: changed relations' columns drop, retained
         // ones are id-remapped across a bump. (If lubs were cached the
@@ -1174,11 +988,11 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // their support, which forces a recompute (the lub can grow
         // relation atoms it never had).
         self.lub_log.get_mut().push(changed.clone());
-        for cache_cell in self.lubs.iter_mut() {
-            for (support, entry) in cache_cell.get_mut().iter() {
+        for lubs in &self.lubs {
+            for (support, entry) in lubs.borrow().iter() {
                 if entry.pooled {
                     stats.lubs_repaired += 1;
-                } else if map.is_some() && support.iter().all(|v| pool.id_of(v).is_some()) {
+                } else if bumped && support.iter().all(|v| pool.id_of(v).is_some()) {
                     stats.lubs_recomputed += 1;
                 } else {
                     stats.lubs_retained += 1;
@@ -1188,25 +1002,16 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
         // 10. LS-concept extensions: an extension reads exactly its
         // concept's relations (nominals read none).
-        let ls_cache = Arc::make_mut(self.ls_exts.get_mut());
-        let old_ls = std::mem::take(ls_cache);
-        for (c, ext) in old_ls {
-            if c.rels().iter().any(|r| changed.contains(r)) {
-                stats.ls_extensions_dropped += 1;
-                continue;
-            }
-            stats.ls_extensions_retained += 1;
-            let ext = match &map {
-                None => ext,
-                Some(m) => ext.reinterned_via(&pool, m),
-            };
-            ls_cache.insert(c, ext);
-        }
-        // Recency stamps follow their entries (only maintained while the
-        // budget is finite).
-        self.ls_lru
-            .get_mut()
-            .retain(|c, _| ls_cache.contains_key(c));
+        (stats.ls_extensions_dropped, stats.ls_extensions_retained) =
+            self.ls_exts.get_mut().retain(|c, ext| {
+                if c.rels().iter().any(|r| changed.contains(r)) {
+                    return false;
+                }
+                if let Some(m) = &map {
+                    *ext = ext.reinterned_via(&pool, m);
+                }
+                true
+            });
 
         // 11. Contrastive answers: the cached separators and foil-aligned
         // MGEs are certified *maximal* against the full lub column set —
@@ -1217,9 +1022,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // and retain everything); the per-position *ontology* difference
         // is not cached here at all — it reuses the candidate and
         // conflict caches, which are selectively retained in 4/7.
-        let contrast = self.contrast.get_mut();
-        stats.contrast_dropped = contrast.len();
-        contrast.clear();
+        (stats.contrast_dropped, _) = self.contrast.get_mut().retain(|_, _| false);
 
         self.delta_invalidated
             .set(self.delta_invalidated.get() + stats.invalidated());
@@ -1242,23 +1045,28 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// parallel batch shares read-only across workers, and `Arc` keeps
     /// the public signature thread-safe.
     pub fn answers(&self, query: &Ucq) -> Arc<BTreeSet<Tuple>> {
-        if let Some((hit, stamp)) = self.answers.borrow().get(query) {
-            stamp.set(self.clock_tick());
-            return Arc::clone(hit);
+        self.cached_answers(query).1
+    }
+
+    /// [`answers`](Self::answers) with the set's id in the answers cache
+    /// (`None` when the budget keeps it out of the cache).
+    fn cached_answers(&self, query: &Ucq) -> (Option<u64>, Arc<BTreeSet<Tuple>>) {
+        if let Some((id, hit)) = self.answers.borrow().get(query, self.clock_tick()) {
+            return (Some(*id), Arc::clone(hit));
         }
         let ans = Arc::new(query.eval(self.instance()));
-        if self.budget.answers == 0 {
-            return ans;
+        if self.budget.entries() == 0 {
+            return (None, ans);
         }
-        let mut cache = self.answers.borrow_mut();
-        while cache.len() >= self.budget.answers {
-            self.evict_one_answer(&mut cache);
-        }
-        cache.insert(
+        let id = self.next_answer_id.get();
+        self.next_answer_id.set(id + 1);
+        let dead = self.answers.borrow_mut().insert(
             query.clone(),
-            (Arc::clone(&ans), Cell::new(self.clock_tick())),
+            (id, Arc::clone(&ans)),
+            self.clock_tick(),
         );
-        ans
+        self.evict_answer_entries(&dead);
+        (Some(id), ans)
     }
 
     /// `lub_I(X)` / `lubσ_I(X)` over the pinned instance, memoized by
@@ -1282,23 +1090,13 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     fn cached_lub(&self, kind: LubKind, support: &BTreeSet<Value>) -> LsConcept {
         let epoch = self.lub_log.borrow().len();
         let slot = &self.lubs[kind_slot(kind)];
-        let (hit, stale) = match slot.borrow().get(support) {
-            Some(entry) if entry.epoch == epoch => (Some(entry.concept.clone()), false),
-            Some(_) => (None, true),
-            None => (None, false),
+        let stale = match slot.borrow().get(support, self.clock_tick()) {
+            Some(entry) if entry.epoch == epoch => return entry.concept.clone(),
+            Some(entry) => Some(entry.clone()),
+            None => None,
         };
-        if let Some(concept) = hit {
-            // Refresh recency only under a finite budget: the unlimited
-            // default keeps the historical zero-cost hit path.
-            if self.budget.lubs != usize::MAX {
-                if let Some(entry) = Arc::make_mut(&mut *slot.borrow_mut()).get_mut(support) {
-                    entry.stamp = self.clock_tick();
-                }
-            }
-            return concept;
-        }
-        if stale {
-            return self.revalidate_lub(kind, support, epoch);
+        if let Some(entry) = stale {
+            return self.revalidate_lub(kind, support, entry, epoch);
         }
         let engine = self.lub_engine();
         let computed = match kind {
@@ -1308,32 +1106,13 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         // lint: allow(no-panic-in-lib) — `bind` rejects empty supports with
         // `SessionError::EmptySupport` before any lub is cached or computed.
         .expect("support checked non-empty");
-        if self.budget.lubs == 0 {
-            return computed;
-        }
-        let pooled = self.support_pooled(support);
-        let mut slot_ref = slot.borrow_mut();
-        let cache = Arc::make_mut(&mut *slot_ref);
-        while cache.len() >= self.budget.lubs {
-            let Some(key) = cache
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            cache.remove(&key);
-            self.count_evicted(|e| e.lubs += 1);
-        }
-        cache.insert(
-            support.clone(),
-            LubEntry {
-                concept: computed.clone(),
-                pooled,
-                epoch,
-                stamp: self.clock_tick(),
-            },
-        );
+        let entry = LubEntry {
+            concept: computed.clone(),
+            pooled: self.support_pooled(support),
+            epoch,
+        };
+        slot.borrow_mut()
+            .insert(support.clone(), entry, self.clock_tick());
         computed
     }
 
@@ -1352,33 +1131,24 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     /// keeps the atoms of untouched relations and re-derives exactly the
     /// relations the journal names since then; a support the journal
     /// window *newly* pooled is recomputed from scratch (its lub can
-    /// grow relation atoms it never had).
-    fn revalidate_lub(&self, kind: LubKind, support: &BTreeSet<Value>, epoch: usize) -> LsConcept {
+    /// grow relation atoms it never had). The repaired `entry` is stored
+    /// back as the most recently used.
+    fn revalidate_lub(
+        &self,
+        kind: LubKind,
+        support: &BTreeSet<Value>,
+        mut entry: LubEntry,
+        epoch: usize,
+    ) -> LsConcept {
         let pooled_now = self.support_pooled(support);
         let engine = self.lub_engine();
-        let pending: BTreeSet<RelId> = {
-            let log = self.lub_log.borrow();
-            let entry_epoch = self.lubs[kind_slot(kind)]
-                .borrow()
-                .get(support)
-                // lint: allow(no-panic-in-lib) — only `cached_lub` calls
-                // this, and only after finding `support` present and stale.
-                .expect("revalidate_lub only runs on a stale hit")
-                .epoch;
-            log[entry_epoch..]
-                .iter()
-                .flat_map(|s| s.iter().copied())
-                .collect()
-        };
-        let mut slot = self.lubs[kind_slot(kind)].borrow_mut();
-        let entry = Arc::make_mut(&mut *slot)
-            .get_mut(support)
-            // lint: allow(no-panic-in-lib) — same precondition as above; the
-            // entry cannot vanish between the two borrows of this method.
-            .expect("revalidate_lub only runs on a stale hit");
         if !pooled_now {
             // Still nominal-only: nothing the deltas did can reach it.
         } else if entry.pooled {
+            let pending: BTreeSet<RelId> = self.lub_log.borrow()[entry.epoch..]
+                .iter()
+                .flat_map(|s| s.iter().copied())
+                .collect();
             let mut atoms: Vec<_> = entry
                 .concept
                 .parts()
@@ -1403,49 +1173,42 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         }
         entry.pooled = pooled_now;
         entry.epoch = epoch;
-        entry.stamp = self.clock_tick();
-        entry.concept.clone()
+        let concept = entry.concept.clone();
+        self.lubs[kind_slot(kind)]
+            .borrow_mut()
+            .insert(support.clone(), entry, self.clock_tick());
+        concept
     }
 
     /// Revalidates every stale lub of `kind` in one sweep — the batch
     /// paths call this before snapshotting the cache for their workers,
     /// who read it immutably and could not repair entries themselves.
+    /// Supports are revalidated in ascending order, because each
+    /// revalidation stamps its entry's recency.
     fn flush_stale_lubs(&self, kind: LubKind) {
         let epoch = self.lub_log.borrow().len();
-        let stale: Vec<BTreeSet<Value>> = self.lubs[kind_slot(kind)]
+        let mut stale: Vec<(BTreeSet<Value>, LubEntry)> = self.lubs[kind_slot(kind)]
             .borrow()
             .iter()
             .filter(|(_, e)| e.epoch != epoch)
-            .map(|(s, _)| s.clone())
+            .map(|(s, e)| (s.clone(), e.clone()))
             .collect();
-        for support in &stale {
-            self.revalidate_lub(kind, support, epoch);
+        stale.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        for (support, entry) in stale {
+            self.revalidate_lub(kind, &support, entry, epoch);
         }
     }
 
     /// The extension of an `LS` concept over the pinned instance,
     /// memoized and interned into the session pool.
     fn ls_extension(&self, c: &LsConcept) -> Extension {
-        let finite = self.budget.ls_extensions != usize::MAX;
-        if let Some(hit) = self.ls_exts.borrow().get(c) {
-            if finite {
-                self.ls_lru
-                    .borrow_mut()
-                    .insert(c.clone(), self.clock_tick());
-            }
+        if let Some(hit) = self.ls_exts.borrow().get(c, self.clock_tick()) {
             return hit.clone();
         }
         let ext = c.extension_in(self.instance(), self.pool());
-        if self.budget.ls_extensions == 0 {
-            return ext;
-        }
-        Arc::make_mut(&mut *self.ls_exts.borrow_mut()).insert(c.clone(), ext.clone());
-        if finite {
-            self.ls_lru
-                .borrow_mut()
-                .insert(c.clone(), self.clock_tick());
-            self.trim_ls_extensions();
-        }
+        self.ls_exts
+            .borrow_mut()
+            .insert(c.clone(), ext.clone(), self.clock_tick());
         ext
     }
 
@@ -1469,13 +1232,14 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 q.query.arity()
             ))));
         }
-        let ans = self.answers(&q.query);
+        let (ans_id, ans) = self.cached_answers(&q.query);
         if ans.contains(&q.tuple) {
             return Err(SessionError::TupleIsAnswer(q.tuple.clone()));
         }
         self.questions.set(self.questions.get() + 1);
         Ok(BoundQuestion {
             ans,
+            ans_id,
             tuple: q.tuple.clone(),
         })
     }
@@ -1586,9 +1350,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
     ///    with worker-local lub/extension memos; results land by question
     ///    index.
     /// 3. **Merge** (sequential): the worker-local memos fold back into
-    ///    the session caches (first write wins; all values are equal by
-    ///    purity), the caches are trimmed to the budget, and the batch is
-    ///    tallied per worker.
+    ///    the session caches in key order, whatever the thread count
+    ///    (all values are equal by purity), the caches are trimmed to the
+    ///    budget, and the batch is tallied per worker.
     ///
     /// A batch with nothing to run (empty, or only hits and rejections)
     /// skips the freeze — the sequential path would not have interned
@@ -1628,13 +1392,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let pool = Arc::clone(self.pool());
         self.flush_stale_lubs(kind);
         let epoch = self.lub_log.borrow().len();
-        let warm_lubs = Arc::clone(&self.lubs[kind_slot(kind)].borrow());
-        let warm_exts = Arc::clone(&self.ls_exts.borrow());
+        let warm_lubs = self.lubs[kind_slot(kind)].borrow().snapshot();
+        let warm_exts = self.ls_exts.borrow().snapshot();
 
-        type Memos = (
-            BTreeMap<BTreeSet<Value>, LsConcept>,
-            BTreeMap<LsConcept, Extension>,
-        );
         // Worker-local memos: one slot per worker, shared across all of
         // that worker's questions (the mutex is uncontended — each
         // worker only ever locks its own slot).
@@ -1658,7 +1418,10 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                         adom,
                         &pool,
                         b,
-                        &mut |x| match warm_lubs.get(x).map(|e| &e.concept).or_else(|| lubs.get(x))
+                        &mut |x| match warm_lubs
+                            .get(x)
+                            .map(|e| &e.value().concept)
+                            .or_else(|| lubs.get(x))
                         {
                             Some(hit) => hit.clone(),
                             None => {
@@ -1667,7 +1430,7 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                                 c
                             }
                         },
-                        &mut |c| match warm_exts.get(c).or_else(|| exts.get(c)) {
+                        &mut |c| match warm_exts.get(c).map(Slot::value).or_else(|| exts.get(c)) {
                             Some(hit) => hit.clone(),
                             None => {
                                 let ext = c.extension_in(inst, &pool);
@@ -1682,59 +1445,54 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
 
         // Phase 3 (sequential): merge the worker memos into the session
         // caches and tally per-worker counters. The snapshots drop first
-        // so `Arc::make_mut` mutates the live caches in place instead of
+        // so the merge mutates the live caches in place instead of
         // copying them.
         drop(warm_lubs);
         drop(warm_exts);
-        let mut per_worker_lubs: Vec<usize> = Vec::with_capacity(slots.len());
-        {
-            let mut lub_slot = self.lubs[kind_slot(kind)].borrow_mut();
-            let mut ext_slot = self.ls_exts.borrow_mut();
-            let lub_cache = Arc::make_mut(&mut *lub_slot);
-            let ext_cache = Arc::make_mut(&mut *ext_slot);
-            for slot in slots {
-                // lint: allow(no-panic-in-lib) — scoped workers joined before
-                // this line; a poisoned slot implies a worker panic that the
-                // executor already propagated.
-                let (lubs, exts) = slot.into_inner().expect("workers joined");
-                per_worker_lubs.push(lubs.len());
-                if self.budget.lubs > 0 {
-                    for (k, v) in lubs {
-                        if let std::collections::btree_map::Entry::Vacant(slot) = lub_cache.entry(k)
-                        {
-                            let pooled = slot.key().iter().all(|val| pool.id_of(val).is_some());
-                            slot.insert(LubEntry {
-                                concept: v,
-                                pooled,
-                                epoch,
-                                stamp: self.clock_tick(),
-                            });
-                        }
-                    }
-                }
-                if self.budget.ls_extensions > 0 {
-                    let ls_finite = self.budget.ls_extensions != usize::MAX;
-                    for (k, v) in exts {
-                        if ls_finite {
-                            self.ls_lru
-                                .borrow_mut()
-                                .entry(k.clone())
-                                .or_insert_with(|| self.clock_tick());
-                        }
-                        ext_cache.entry(k).or_insert(v);
-                    }
-                }
-            }
-        }
-        // The merge can overshoot a finite budget; trim LRU-first.
-        self.trim_to_budget();
+        let memos: Vec<Memos> = slots
+            .into_iter()
+            // lint: allow(no-panic-in-lib) — scoped workers joined before
+            // this line; a poisoned slot implies a worker panic that the
+            // executor already propagated.
+            .map(|slot| slot.into_inner().expect("workers joined"))
+            .collect();
+        let per_worker_lubs: Vec<usize> = memos.iter().map(|(lubs, _)| lubs.len()).collect();
+        self.merge_memos(kind, epoch, memos);
         let question_workers: Vec<usize> = outcomes.iter().map(|&(worker, _)| worker).collect();
         self.record_batch(exec.threads(), &question_workers, &per_worker_lubs);
         outcomes.into_iter().map(|(_, result)| result).collect()
     }
 
+    /// Folds a batch's worker memos into the lub cache of `kind` and the
+    /// `LS`-extension cache, then trims both to the budget once. The
+    /// memos merge as one union in key order (values are equal by
+    /// purity): which worker computed what depends on scheduling, but the
+    /// union and so the recency stamps do not.
+    fn merge_memos(&self, kind: LubKind, epoch: usize, memos: Vec<Memos>) {
+        let mut union = Memos::default();
+        for (lubs, exts) in memos {
+            union.0.extend(lubs);
+            union.1.extend(exts);
+        }
+        let mut lub_cache = self.lubs[kind_slot(kind)].borrow_mut();
+        for (support, concept) in union.0 {
+            let entry = LubEntry {
+                concept,
+                pooled: self.support_pooled(&support),
+                epoch,
+            };
+            lub_cache.insert_if_absent(support, entry, self.clock_tick());
+        }
+        lub_cache.trim();
+        let mut ext_cache = self.ls_exts.borrow_mut();
+        for (c, ext) in union.1 {
+            ext_cache.insert_if_absent(c, ext, self.clock_tick());
+        }
+        ext_cache.trim();
+    }
+
     /// The contrast cache key of a question under one [`LubKind`].
-    fn contrast_key(q: &ContrastQuestion, kind: LubKind) -> (Ucq, Tuple, Tuple, usize) {
+    fn contrast_key(q: &ContrastQuestion, kind: LubKind) -> ContrastKey {
         (
             q.query.clone(),
             q.missing.clone(),
@@ -1743,34 +1501,28 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         )
     }
 
+    /// The cached contrastive answer under `key`, if any.
+    fn contrast_hit(&self, key: &ContrastKey) -> Option<Arc<ContrastAnswer>> {
+        self.contrast
+            .borrow()
+            .get(key, self.clock_tick())
+            .map(Arc::clone)
+    }
+
     /// Validates a contrastive question and resolves both its answer set
     /// (cached per query) and the residual set `Ans \ {foil}`.
     fn bind_contrast(&self, q: &ContrastQuestion) -> Result<BoundContrast, SessionError> {
         q.query.validate(self.schema)?;
-        let ans = self.answers(&q.query);
+        let (ans_id, ans) = self.cached_answers(&q.query);
         let residual = Arc::new(validate_contrast(&q.query, &q.missing, &q.foil, &ans)?);
         self.questions.set(self.questions.get() + 1);
         Ok(BoundContrast {
             ans,
+            ans_id,
             residual,
             missing: q.missing.clone(),
             foil: q.foil.clone(),
         })
-    }
-
-    /// Inserts a freshly computed contrastive answer under the budget
-    /// (evicting LRU-first past the cap; budget 0 skips caching).
-    fn store_contrast(&self, key: (Ucq, Tuple, Tuple, usize), answer: &Arc<ContrastAnswer>) {
-        if self.budget.contrast == 0 {
-            return;
-        }
-        let mut cache = self.contrast.borrow_mut();
-        while cache.len() >= self.budget.contrast {
-            let Some(victim) = lru_key(&cache) else { break };
-            cache.remove(&victim);
-            self.count_evicted(|e| e.contrast += 1);
-        }
-        cache.insert(key, (Arc::clone(answer), Cell::new(self.clock_tick())));
     }
 
     /// The contrastive answer — per-position difference separators plus
@@ -1786,9 +1538,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         kind: LubKind,
     ) -> Result<Arc<ContrastAnswer>, SessionError> {
         let key = Self::contrast_key(q, kind);
-        if let Some((hit, stamp)) = self.contrast.borrow().get(&key) {
-            stamp.set(self.clock_tick());
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.contrast_hit(&key) {
+            return Ok(hit);
         }
         let bound = self.bind_contrast(q)?;
         let k_vals = restriction_values(self.adom().iter().cloned(), &bound.missing);
@@ -1800,7 +1551,9 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
             &mut |x| self.cached_lub(kind, x),
             &mut |c| self.ls_extension(c),
         ));
-        self.store_contrast(key, &answer);
+        self.contrast
+            .borrow_mut()
+            .insert(key, Arc::clone(&answer), self.clock_tick());
         Ok(answer)
     }
 
@@ -1832,10 +1585,8 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
         let prepared: Vec<Prepared<BoundContrast, Arc<ContrastAnswer>>> = questions
             .iter()
             .map(|q| {
-                let key = Self::contrast_key(q, kind);
-                if let Some((hit, stamp)) = self.contrast.borrow().get(&key) {
-                    stamp.set(self.clock_tick());
-                    return Prepared::Done(Ok(Arc::clone(hit)));
+                if let Some(hit) = self.contrast_hit(&Self::contrast_key(q, kind)) {
+                    return Prepared::Done(Ok(hit));
                 }
                 match self.bind_contrast(q) {
                     Err(e) => Prepared::Done(Err(e)),
@@ -1854,14 +1605,14 @@ impl<'a, O: Ontology> WhyNotSession<'a, O> {
                 ext_of,
             ))
         });
+        let mut cache = self.contrast.borrow_mut();
         for ((q, p), result) in questions.iter().zip(&prepared).zip(&outcomes) {
             if let (Prepared::Run(_), Ok(answer)) = (p, result) {
                 let key = Self::contrast_key(q, kind);
-                if !self.contrast.borrow().contains_key(&key) {
-                    self.store_contrast(key, answer);
-                }
+                cache.insert_if_absent(key, Arc::clone(answer), self.clock_tick());
             }
         }
+        cache.trim();
         outcomes
     }
 }
@@ -1883,72 +1634,45 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
     /// on the query or the rest of the tuple — so the cache carries
     /// across questions.
     fn indices_for(&self, a: &Value) -> Arc<Vec<usize>> {
-        if let Some((hit, stamp)) = self.candidates.borrow().get(a) {
-            stamp.set(self.clock_tick());
+        if let Some(hit) = self.candidates.borrow().get(a, self.clock_tick()) {
             return Arc::clone(hit);
         }
         let (all, table) = self.finite_index();
         let idxs = Arc::new(exhaustive::candidate_indices(table, all.len(), a));
-        if self.budget.candidates == 0 {
-            return idxs;
-        }
-        let mut cache = self.candidates.borrow_mut();
-        while cache.len() >= self.budget.candidates {
-            let Some(key) = lru_key_btree(&cache) else {
-                break;
-            };
-            cache.remove(&key);
-            self.count_evicted(|e| e.candidates += 1);
-        }
-        cache.insert(a.clone(), (Arc::clone(&idxs), Cell::new(self.clock_tick())));
+        self.candidates
+            .borrow_mut()
+            .insert(a.clone(), Arc::clone(&idxs), self.clock_tick());
         idxs
     }
 
     /// The pre-interned probes for position `i` of a bound question's
-    /// answer column, cached per `(answer set, position)` (see the
+    /// answer column, cached per `(answer-set id, position)` (see the
     /// `probes` field docs).
-    fn probes_for(&self, bound: &BoundQuestion, i: usize) -> Arc<Vec<Probe>> {
-        let key = (Arc::as_ptr(&bound.ans) as usize, i);
-        // A non-resident answer set never touches the pointer-keyed
-        // cache — its address is not a stable identity (see
-        // `ans_resident`).
-        let resident = self.ans_resident(&bound.ans);
-        if resident {
-            if let Some((hit, stamp)) = self.probes.borrow().get(&key) {
-                stamp.set(self.clock_tick());
+    fn probes_for(&self, bound: &BoundQuestion, i: usize) -> Probes {
+        let key = bound.ans_id.map(|id| (id, i));
+        if let Some(key) = &key {
+            if let Some(hit) = self.probes.borrow().get(key, self.clock_tick()) {
                 return Arc::clone(hit);
             }
         }
         let (_, table) = self.finite_index();
-        let probes: Arc<Vec<Probe>> =
-            Arc::new(bound.ans.iter().map(|t| table.probe(&t[i])).collect());
-        if resident && self.budget.probes > 0 {
-            let mut cache = self.probes.borrow_mut();
-            while cache.len() >= self.budget.probes {
-                let Some(victim) = lru_key(&cache) else { break };
-                cache.remove(&victim);
-                self.count_evicted(|e| e.probes += 1);
-            }
-            cache.insert(key, (Arc::clone(&probes), Cell::new(self.clock_tick())));
+        let probes: Probes = Arc::new(bound.ans.iter().map(|t| table.probe(&t[i])).collect());
+        if let Some(key) = key {
+            self.probes
+                .borrow_mut()
+                .insert(key, Arc::clone(&probes), self.clock_tick());
         }
         probes
     }
 
     /// Concept `k`'s Algorithm 1 conflict bitset (and its popcount) at
-    /// position `i`, cached per `(answer set, position, concept)` (see
+    /// position `i`, cached per `(answer-set id, position, concept)` (see
     /// the `conflicts` field docs): bit `j` is set iff answer `j`'s
     /// value at position `i` lies in the concept's extension.
-    fn conflict_bits_for(
-        &self,
-        bound: &BoundQuestion,
-        i: usize,
-        k: usize,
-    ) -> Arc<(Vec<u64>, usize)> {
-        let key = (Arc::as_ptr(&bound.ans) as usize, i, k);
-        let resident = self.ans_resident(&bound.ans);
-        if resident {
-            if let Some((hit, stamp)) = self.conflicts.borrow().get(&key) {
-                stamp.set(self.clock_tick());
+    fn conflict_bits_for(&self, bound: &BoundQuestion, i: usize, k: usize) -> ConflictBits {
+        let key = bound.ans_id.map(|id| (id, i, k));
+        if let Some(key) = &key {
+            if let Some(hit) = self.conflicts.borrow().get(key, self.clock_tick()) {
                 return Arc::clone(hit);
             }
         }
@@ -1962,14 +1686,10 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         }
         let count = kernels::count_ones(&bits);
         let entry = Arc::new((bits, count));
-        if resident && self.budget.conflicts > 0 {
-            let mut cache = self.conflicts.borrow_mut();
-            while cache.len() >= self.budget.conflicts {
-                let Some(victim) = lru_key(&cache) else { break };
-                cache.remove(&victim);
-                self.count_evicted(|e| e.conflicts += 1);
-            }
-            cache.insert(key, (Arc::clone(&entry), Cell::new(self.clock_tick())));
+        if let Some(key) = key {
+            self.conflicts
+                .borrow_mut()
+                .insert(key, Arc::clone(&entry), self.clock_tick());
         }
         entry
     }
@@ -2156,6 +1876,7 @@ impl<O: FiniteOntology> WhyNotSession<'_, O> {
         // determines which bit is the foil's.
         let legacy = BoundQuestion {
             ans: Arc::clone(&bound.ans),
+            ans_id: bound.ans_id,
             tuple: bound.missing.clone(),
         };
         let (all, _) = self.finite_index();
@@ -2572,6 +2293,49 @@ mod tests {
                     .sum();
                 assert!(lubs_total > 0, "the batch did compute lubs");
             }
+        }
+    }
+
+    /// Under a finite budget, which lubs survive a batch merge decides
+    /// later hits and evictions, so the survivors must not depend on how
+    /// the batch's questions were spread over workers.
+    #[test]
+    fn budgeted_memo_merges_do_not_depend_on_the_worker_split() {
+        let (o, schema, inst, _) = fixture();
+        let reference = WhyNotSession::new(&o, &schema, &inst);
+        let kind = LubKind::SelectionFree;
+        let memo = |cities: &[&str]| -> Memos {
+            let lubs = cities
+                .iter()
+                .map(|c| {
+                    let support: BTreeSet<Value> = [s(c)].into();
+                    let lub = reference.lub(kind, &support).unwrap();
+                    (support, lub)
+                })
+                .collect();
+            (lubs, BTreeMap::new())
+        };
+        let survivors = |memos: Vec<Memos>| {
+            let mut session = WhyNotSession::new(&o, &schema, &inst);
+            session.set_cache_budget(CacheBudget::uniform(2));
+            session.merge_memos(kind, 0, memos);
+            let lubs = session.lubs[kind_slot(kind)].borrow();
+            let mut kept: Vec<BTreeSet<Value>> = lubs.iter().map(|(k, _)| k.clone()).collect();
+            kept.sort();
+            (kept, lubs.evicted())
+        };
+        let one_worker = survivors(vec![memo(&["Amsterdam", "Berlin", "Kyoto", "Rome"])]);
+        assert_eq!(one_worker.1, 2);
+        for split in [
+            vec![memo(&["Amsterdam", "Berlin"]), memo(&["Kyoto", "Rome"])],
+            vec![memo(&["Kyoto", "Rome"]), memo(&["Amsterdam", "Berlin"])],
+            vec![
+                memo(&["Berlin", "Rome"]),
+                memo(&[]),
+                memo(&["Amsterdam", "Kyoto"]),
+            ],
+        ] {
+            assert_eq!(survivors(split), one_worker);
         }
     }
 
@@ -3001,10 +2765,7 @@ mod tests {
     fn lru_eviction_prefers_least_recently_used() {
         let (o, schema, inst, tc) = fixture();
         let mut session = WhyNotSession::new(&o, &schema, &inst);
-        session.set_cache_budget(CacheBudget {
-            answers: 2,
-            ..CacheBudget::unlimited()
-        });
+        session.set_cache_budget(CacheBudget::uniform(2));
         let q_two = two_hop(tc);
         let q_one = one_hop(tc);
         let three = Ucq::single(Cq::new(
@@ -3031,7 +2792,7 @@ mod tests {
     }
 
     /// `set_cache_budget` trims a warm session immediately, and the
-    /// cascade purges pointer-keyed entries with their answer set.
+    /// cascade purges id-keyed entries with their answer set.
     #[test]
     fn set_budget_trims_warm_session() {
         let (o, schema, inst, tc) = fixture();
@@ -3284,19 +3045,13 @@ mod tests {
     fn contrast_cache_honours_budget() {
         let (o, schema, inst, tc) = fixture();
         let mut session = WhyNotSession::new(&o, &schema, &inst);
-        session.set_cache_budget(CacheBudget {
-            contrast: 1,
-            ..CacheBudget::unlimited()
-        });
+        session.set_cache_budget(CacheBudget::uniform(1));
         let q = contrast_pair(tc);
         session.contrast(&q, LubKind::SelectionFree).unwrap();
         session.contrast(&q, LubKind::WithSelections).unwrap();
         assert_eq!(session.stats().cached_contrasts, 1);
         assert_eq!(session.evictions().contrast, 1);
-        session.set_cache_budget(CacheBudget {
-            contrast: 0,
-            ..CacheBudget::unlimited()
-        });
+        session.set_cache_budget(CacheBudget::uniform(0));
         assert_eq!(session.stats().cached_contrasts, 0);
         let a = session.contrast(&q, LubKind::SelectionFree).unwrap();
         let b = session.contrast(&q, LubKind::SelectionFree).unwrap();

@@ -4,11 +4,16 @@
 //! kind — from a fresh session built over an independently materialized
 //! instance.
 //!
+//! Every stream runs twice: with the live session's caches unlimited,
+//! and under a tiny [`CacheBudget`], so LRU eviction interleaves with
+//! delta invalidation and lazy lub repair. The fresh sessions stay
+//! unlimited.
+//!
 //! On failure the harness shrinks the stream by hand (shortest failing
 //! prefix, then greedy per-step removal to a 1-minimal sequence) before
 //! panicking, since the vendored proptest has no shrinking.
 
-use whynot_core::{LubKind, WhyNotSession};
+use whynot_core::{CacheBudget, LubKind, WhyNotSession};
 use whynot_relation::Instance;
 use whynot_scenarios::generators::{
     modal_mutation_stream, mutation_stream, random_mutation_stream, MutationStep, MutationWorkload,
@@ -31,15 +36,26 @@ fn diff<T: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// Runs `steps` against a delta-maintained session, materializing the
-/// same deltas independently through [`Instance::apply_delta`]; every
-/// `Ask` is answered by both the live session and a fresh session over
-/// the materialized instance, across every question kind. Returns the
-/// first divergence. `exact` additionally runs the exponential
-/// `>card`-maximal reference (only affordable on small ontologies).
-fn run(w: &MutationWorkload, steps: &[MutationStep], exact: bool) -> Result<(), String> {
+/// The live session's budgets: unlimited, and one small enough that
+/// every cache evicts during a stream.
+const BUDGETS: [CacheBudget; 2] = [CacheBudget::unlimited(), CacheBudget::uniform(2)];
+
+/// Runs `steps` against a delta-maintained session with cache budget
+/// `budget`, materializing the same deltas independently through
+/// [`Instance::apply_delta`]; every `Ask` is answered by both the live
+/// session and a fresh session over the materialized instance, across
+/// every question kind. Returns the first divergence. `exact`
+/// additionally runs the exponential `>card`-maximal reference (only
+/// affordable on small ontologies).
+fn run(
+    w: &MutationWorkload,
+    steps: &[MutationStep],
+    budget: CacheBudget,
+    exact: bool,
+) -> Result<(), String> {
     let mut materialized: Instance = w.instance.clone();
     let mut live = WhyNotSession::new(&w.ontology, &w.schema, &w.instance);
+    live.set_cache_budget(budget);
     for (i, step) in steps.iter().enumerate() {
         match step {
             MutationStep::Mutate(delta) => match live.apply_delta(delta) {
@@ -154,20 +170,25 @@ fn run(w: &MutationWorkload, steps: &[MutationStep], exact: bool) -> Result<(), 
 
 /// Hand-rolled shrinking: shortest failing prefix, then greedy removal of
 /// single steps until the sequence is 1-minimal.
-fn shrink(w: &MutationWorkload, exact: bool, full_err: String) -> (Vec<MutationStep>, String) {
+fn shrink(
+    w: &MutationWorkload,
+    budget: CacheBudget,
+    exact: bool,
+    full_err: String,
+) -> (Vec<MutationStep>, String) {
     let mut steps: Vec<MutationStep> = w.steps.clone();
     for len in 1..=steps.len() {
-        if run(w, &steps[..len], exact).is_err() {
+        if run(w, &steps[..len], budget, exact).is_err() {
             steps.truncate(len);
             break;
         }
     }
-    let mut err = run(w, &steps, exact).err().unwrap_or(full_err);
+    let mut err = run(w, &steps, budget, exact).err().unwrap_or(full_err);
     let mut i = 0;
     while i < steps.len() {
         let mut cand = steps.clone();
         cand.remove(i);
-        if let Err(e) = run(w, &cand, exact) {
+        if let Err(e) = run(w, &cand, budget, exact) {
             steps = cand;
             err = e;
         } else {
@@ -178,14 +199,16 @@ fn shrink(w: &MutationWorkload, exact: bool, full_err: String) -> (Vec<MutationS
 }
 
 fn check_workload(name: &str, w: &MutationWorkload, exact: bool) {
-    if let Err(err) = run(w, &w.steps, exact) {
-        let (minimal, min_err) = shrink(w, exact, err);
-        panic!(
-            "{name}: live session diverged from fresh sessions\n{min_err}\n\
-             minimal failing sequence ({} of {} steps):\n{minimal:#?}",
-            minimal.len(),
-            w.steps.len()
-        );
+    for budget in BUDGETS {
+        if let Err(err) = run(w, &w.steps, budget, exact) {
+            let (minimal, min_err) = shrink(w, budget, exact, err);
+            panic!(
+                "{name} at {budget:?}: live session diverged from fresh sessions\n{min_err}\n\
+                 minimal failing sequence ({} of {} steps):\n{minimal:#?}",
+                minimal.len(),
+                w.steps.len()
+            );
+        }
     }
 }
 
